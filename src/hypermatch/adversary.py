@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .hypergraph import Edge, Hypergraph
+import numpy as np
+
+from .hypergraph import Hypergraph
 from .rng import Rng
 
 
@@ -33,7 +35,7 @@ class AdversaryOutcome:
             "mode": self.mode,
             "params": {k: list(v) if isinstance(v, tuple) else v for k, v in self.params.items()},
             "deleted": self.deleted,
-            "edges_after": len(self.result.edges),
+            "edges_after": self.result.edge_count(),
             "residual_min_codegree": self.residual_min_codegree,
         }
 
@@ -60,12 +62,12 @@ def parity_adversary(hypergraph: Hypergraph, v1: Optional[Iterable[int]] = None)
             raise ValueError("v1 has a vertex outside [0, n)")
     if len(chosen) % 2 == 0:
         raise ValueError("v1 must have odd size")
-    v1set = frozenset(chosen)
-    kept = [e for e in hypergraph.edges if len(v1set.intersection(e)) % 2 == 0]
+    edges = hypergraph.edge_array
+    kept = edges[np.isin(edges, chosen).sum(axis=1) % 2 == 0]
     result = Hypergraph._trusted(hypergraph.n, hypergraph.k, kept)
     return AdversaryOutcome(
         result=result,
-        deleted=len(hypergraph.edges) - len(kept),
+        deleted=len(edges) - len(kept),
         residual_min_codegree=result.codegree_extremes()[0],
         mode="parity",
         params={"v1": chosen},
@@ -83,22 +85,24 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    k = hypergraph.k
-    counts = {x: len(vs) for x, vs in hypergraph.codegree_index().items()}
-    order = list(hypergraph.edges)
+    # the scan is sequential: edges as index positions of their k subsets,
+    # co-degrees as plain ints in a list
+    slots = hypergraph._edge_slots().tolist()
+    counts = hypergraph._degrees().tolist()
+    order = list(range(len(slots)))
     Rng(seed).shuffle(order)
-    removed: set[Edge] = set()
+    removed = bytearray(len(slots))
     for e in order:
-        subsets = [e[:j] + e[j + 1:] for j in range(k)]
-        if all(counts[x] - 1 >= threshold for x in subsets):
+        subsets = slots[e]
+        if min(map(counts.__getitem__, subsets)) > threshold:
             for x in subsets:
                 counts[x] -= 1
-            removed.add(e)
-    kept = [e for e in hypergraph.edges if e not in removed]
+            removed[e] = 1
+    kept = hypergraph.edge_array[~np.frombuffer(removed, dtype=bool)]
     result = Hypergraph._trusted(hypergraph.n, hypergraph.k, kept)
     return AdversaryOutcome(
         result=result,
-        deleted=len(removed),
+        deleted=len(slots) - result.edge_count(),
         residual_min_codegree=result.codegree_extremes()[0],
         mode="greedy",
         params={"threshold": threshold, "seed": seed},

@@ -32,6 +32,13 @@ class BipartiteGraph:
         self.m = m
         self.adjacency = tuple(rows)
 
+    @classmethod
+    def _trusted(cls, m: int, rows: Sequence[tuple[int, ...]]) -> "BipartiteGraph":
+        """Internal fast path: m rows of ascending, distinct ids in [0, m)."""
+        obj = object.__new__(cls)
+        obj.m, obj.adjacency = m, tuple(rows)
+        return obj
+
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency)
 
@@ -51,7 +58,7 @@ class BipartiteGraph:
         for u, row in enumerate(self.adjacency):
             for v in row:
                 rows[v].append(u)
-        return BipartiteGraph(self.m, rows)
+        return BipartiteGraph._trusted(self.m, [tuple(row) for row in rows])
 
     def min_degree(self) -> int:
         """Minimum degree over both sides (0 for the empty graph on m = 0)."""
@@ -121,20 +128,35 @@ def max_matching(graph: BipartiteGraph) -> BipartiteMatching:
                     queue.append(w)
         return found != INF
 
-    def dfs(u: int) -> bool:
-        for v in adj[u]:
-            w = match_r[v]
-            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
-                match_l[u] = v
-                match_r[v] = u
-                return True
-        dist[u] = INF
-        return False
+    def augment(u: int) -> None:
+        # layered DFS with an explicit stack (no recursion limit) of
+        # (vertex, neighbor taken, its unscanned neighbors) below u
+        path = []
+        nbrs, target = iter(adj[u]), dist[u] + 1
+        while True:
+            for v in nbrs:
+                w = match_r[v]
+                if w == -1:
+                    match_l[u], match_r[v] = v, u
+                    for x, y, _ in path:
+                        match_l[x], match_r[y] = y, x
+                    return
+                if dist[w] == target:
+                    break
+            else:  # dead end: u leaves the layers, its parent resumes
+                dist[u] = INF
+                if not path:
+                    return
+                u, _, nbrs = path.pop()
+                target -= 1
+                continue
+            path.append((u, v, nbrs))
+            u, nbrs, target = w, iter(adj[w]), target + 1
 
     while bfs():
         for u in range(m):
             if match_l[u] == -1:
-                dfs(u)
+                augment(u)
     return BipartiteMatching(tuple(match_l))
 
 

@@ -38,7 +38,7 @@ def _cmd_gen(args) -> int:
     h = sample_hypergraph(args.n, args.k, args.p, args.seed)
     write_hypergraph(args.out, h)
     _emit({"n": h.n, "k": h.k, "p": args.p, "seed": args.seed,
-           "edges": len(h.edges), "out": args.out})
+           "edges": h.edge_count(), "out": args.out})
     return 0
 
 
@@ -76,7 +76,7 @@ def _cmd_adversary(args) -> int:
         outcome = greedy_budget_adversary(h, args.threshold, args.seed)
     write_hypergraph(args.out, outcome.result)
     payload = outcome.to_jsonable()
-    payload["edges_before"] = len(h.edges)
+    payload["edges_before"] = h.edge_count()
     payload["out"] = args.out
     _emit(payload)
     return 0

@@ -18,6 +18,7 @@ import io
 import json
 import math
 import time
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -96,10 +97,20 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
+        """Parse a config; unknown or wrongly typed fields raise ValueError."""
         data = json.loads(text)
-        unknown = set(data) - {f for f in cls.__dataclass_fields__}
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
+        unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        hints = typing.get_type_hints(cls)
+        for name, value in data.items():
+            allowed = typing.get_args(hints[name]) or (hints[name],)
+            allowed += (int,) if float in allowed else ()
+            if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
+                expected = cls.__dataclass_fields__[name].type
+                raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
         return cls(**data)
 
 
@@ -186,8 +197,8 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialOutcome:
         p=cfg.p,
         epsilon=cfg.epsilon,
         adversary=cfg.adversary,
-        edges_before=len(sampled.edges),
-        edges_after=len(resisted.edges),
+        edges_before=sampled.edge_count(),
+        edges_after=resisted.edge_count(),
         residual_min_codegree=residual,
         partition_worst_deviation=outcome.partition_worst_deviation,
         delta_star=outcome.min_transversal_codegree,

@@ -1,16 +1,16 @@
-"""k-uniform hypergraphs with an eager co-degree index.
+"""k-uniform hypergraphs stored as an edge array with a CSR co-degree index.
 
-Vertices are the integers 0..n-1 and every edge is an ascending k-tuple of
-distinct vertex ids. Construction normalizes (sorts, deduplicates) the edge
-set and builds the co-degree index: a map from each (k-1)-subset X with at
-least one completion to the ascending list of vertices v with X + {v} in the
-edge set. All values are immutable after construction and safe to share
-across threads; co-degree queries are index lookups.
+Vertices are 0..n-1; ``edge_array`` holds the edges as (E, k) int64 rows,
+ascending and distinct, in lexicographic order (``edges``: the same as
+tuples, built on first use). The index covers each (k-1)-subset X with a
+completion: ``_keys`` are their lexicographic ranks in C([n], k-1),
+ascending, and X = ``_keys[s]`` owns the ascending completions
+``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE) memory for any n. The
+arrays are read-only, so hypergraphs are safe to share across threads.
 
-Also here: balanced vertex partitions, the k-partite restriction induced by
-a partition, perfect-matching verification with reason codes, and the
-deterministic backtracking oracles used to find or count perfect matchings
-at desk scale.
+Also here: balanced vertex partitions, the k-partite restriction, perfect
+matching verification with reason codes, and the backtracking oracles that
+find or count perfect matchings at desk scale.
 """
 
 from __future__ import annotations
@@ -19,105 +19,134 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
 Edge = tuple[int, ...]
-
-# k * |edges| at or above this uses the array-based index builder
-_VECTOR_INDEX_THRESHOLD = 50_000
 
 
 def _as_vertex(v) -> int:
     return operator.index(v)
 
 
-def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> tuple[Edge, ...]:
-    seen: set[Edge] = set()
+def _binomial_table(n: int, r: int) -> np.ndarray:
+    """table[a, j] = C(a, j) for a < n, j <= r, capped at C(n, r): ranks read
+    no larger entry. Raises ValueError unless rank * n + vertex fits int64."""
+    cap = math.comb(n, r)
+    if cap * n >= 2**63:
+        raise ValueError(f"C({n}, {r}) * {n} exceeds the int64 range of subset ranks")
+    columns = [np.ones(n, dtype=np.int64)]
+    for _ in range(r):  # C(a, j) = sum over b < a of C(b, j - 1), each sum below n * cap
+        columns.append(np.minimum(np.concatenate(([0], np.cumsum(columns[-1])[:-1])), cap))
+    return np.stack(columns, axis=1)
+
+
+def lex_unrank(n: int, r: int, ranks: np.ndarray) -> np.ndarray:
+    """Rows (ascending) of the r-subsets of [n] with the given lexicographic
+    ranks: C(n, r) - 1 - rank = sum_i C(n-1-x_i, r-i) is decoded greedily."""
+    table = _binomial_table(n, r)
+    rest = math.comb(n, r) - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), r), dtype=np.int64)
+    for i in range(r):
+        c = np.searchsorted(table[:, r - i], rest, side="right") - 1
+        out[:, i] = n - 1 - c
+        rest = rest - table[:, r - i][c]
+    return out
+
+
+def _lex_rank(n: int, subset: Edge) -> int:
+    r = len(subset)
+    return math.comb(n, r) - 1 - sum(math.comb(n - 1 - x, r - i) for i, x in enumerate(subset))
+
+
+def _lex_ranks(n: int, columns: list[np.ndarray]) -> np.ndarray:
+    """Lexicographic ranks of r-subsets given as r columns of ascending members."""
+    r = len(columns)
+    table = _binomial_table(n, r)
+    out = np.full(len(columns[0]), math.comb(n, r) - 1, dtype=np.int64)
+    for i, column in enumerate(columns):
+        out -= table[:, r - i][n - 1 - column]
+    return out
+
+
+def _subset_ranks(n: int, edges: np.ndarray) -> np.ndarray:
+    """(k, E) array: row j ranks every edge with its column j removed."""
+    columns = list(edges.T)
+    return np.stack([_lex_ranks(n, columns[:j] + columns[j + 1:]) for j in range(len(columns))])
+
+
+def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
+    rows = []
     for raw in edges:
         edge = tuple(sorted(_as_vertex(v) for v in raw))
         if len(edge) != k or len(set(edge)) != k:
             raise ValueError(f"edge {raw!r} must have exactly {k} distinct vertices")
         if edge[0] < 0 or edge[-1] >= n:
             raise ValueError(f"edge {raw!r} has a vertex outside [0, {n})")
-        seen.add(edge)
-    return tuple(sorted(seen))
-
-
-def _index_from_dicts(k: int, edges: Sequence[Edge]) -> dict[Edge, Edge]:
-    buckets: dict[Edge, list[int]] = {}
-    for e in edges:
-        for j in range(k):
-            buckets.setdefault(e[:j] + e[j + 1:], []).append(e[j])
-    return {x: tuple(sorted(vs)) for x, vs in sorted(buckets.items())}
-
-
-def _index_from_arrays(k: int, edges: Sequence[Edge]) -> dict[Edge, Edge]:
-    arr = np.asarray(edges, dtype=np.int64)
-    xs = np.concatenate([np.delete(arr, j, axis=1) for j in range(k)])
-    vs = np.concatenate([arr[:, j] for j in range(k)])
-    order = np.lexsort((vs,) + tuple(xs[:, c] for c in range(k - 2, -1, -1)))
-    xs, vs = xs[order], vs[order]
-    breaks = np.nonzero((xs[1:] != xs[:-1]).any(axis=1))[0] + 1
-    starts = np.concatenate(([0], breaks))
-    ends = np.concatenate((breaks, [len(vs)]))
-    keys = [tuple(row) for row in xs[starts].tolist()]
-    values = vs.tolist()
-    return {key: tuple(values[s:e]) for key, s, e in zip(keys, starts, ends)}
-
-
-def _build_index(k: int, edges: Sequence[Edge]) -> dict[Edge, Edge]:
-    if not edges:
-        return {}
-    if k * len(edges) >= _VECTOR_INDEX_THRESHOLD:
-        return _index_from_arrays(k, edges)
-    return _index_from_dicts(k, edges)
+        rows.append(edge)
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+    # lexicographic key within the index's int64 bound: first vertex, then rank of the rest
+    key = _lex_ranks(n, list(arr[:, 1:].T)) + arr[:, 0] * math.comb(n, k - 1)
+    _, first = np.unique(key, return_index=True)
+    return arr[first]
 
 
 class Hypergraph:
-    """Immutable k-uniform hypergraph with its co-degree index.
+    """Immutable k-uniform hypergraph; subsets absent from the index have co-degree 0."""
 
-    ``edges`` is the lexicographically sorted tuple of ascending k-tuples.
-    The index is exposed read-only through :meth:`codegree_index`; missing
-    keys mean co-degree zero.
-    """
-
-    __slots__ = ("n", "k", "edges", "_edge_set", "_index", "_index_view", "_arrays")
+    __slots__ = ("n", "k", "edge_array", "_keys", "_offsets", "_completions", "_edges")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
-        n = _as_vertex(n)
-        k = _as_vertex(k)
+        n, k = _as_vertex(n), _as_vertex(k)
         if k < 2:
             raise ValueError("uniformity k must be at least 2")
         if n < k:
             raise ValueError("need n >= k")
-        self.n = n
-        self.k = k
-        self.edges = _normalize_edges(n, k, edges)
-        self._finish_init()
+        self._finish_init(n, k, _normalize_edges(n, k, edges))
 
-    def _finish_init(self) -> None:
-        self._edge_set = frozenset(self.edges)
-        self._index = _build_index(self.k, self.edges)
-        self._index_view = MappingProxyType(self._index)
-        self._arrays = None
+    def _finish_init(self, n: int, k: int, edge_array: np.ndarray) -> None:
+        # one sort of rank * n + completion; keys start at pair 0 (ranks >= 0) and rank changes
+        ranks = np.sort(_subset_ranks(n, edge_array) * n + edge_array.T, axis=None)
+        completions = ranks % n
+        ranks //= n
+        starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])
+        self.n, self.k, self.edge_array, self._edges = n, k, edge_array, None
+        self._keys, self._offsets = ranks[starts], np.append(starts, len(ranks))
+        self._completions = completions
+        for arr in (edge_array, self._keys, self._offsets, completions):
+            arr.flags.writeable = False
 
     @classmethod
-    def _trusted(cls, n: int, k: int, edges: Sequence[Edge]) -> "Hypergraph":
-        """Internal fast path: edges already ascending, unique, in range."""
+    def _trusted(cls, n: int, k: int, edge_array: np.ndarray) -> "Hypergraph":
+        """Internal fast path: n, k valid; rows ascending, distinct, in range, sorted."""
         obj = object.__new__(cls)
-        obj.n = n
-        obj.k = k
-        obj.edges = tuple(edges)
-        obj._finish_init()
+        obj._finish_init(n, k, edge_array)
         return obj
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The lexicographically sorted tuple of ascending k-tuples."""
+        if self._edges is None:
+            self._edges = tuple(zip(*self.edge_array.T.tolist()))
+        return self._edges
+
+    def edge_count(self) -> int:
+        return len(self.edge_array)
 
     # -- queries ---------------------------------------------------------
 
+    def _completion_array(self, subset: Edge) -> np.ndarray:
+        """Completions of an ascending, in-range (k-1)-subset (empty if none)."""
+        rank = _lex_rank(self.n, subset)
+        lo, hi = np.searchsorted(self._keys, [rank, rank + 1])
+        return self._completions[self._offsets[lo]:self._offsets[hi]]
+
     def has_edge(self, edge: Iterable[int]) -> bool:
-        return tuple(sorted(edge)) in self._edge_set
+        e = tuple(sorted(_as_vertex(v) for v in edge))
+        if len(e) != self.k or len(set(e)) != self.k or e[0] < 0 or e[-1] >= self.n:
+            return False
+        return bool(e[0] in self._completion_array(e[1:]))
 
     def _check_subset(self, subset: Iterable[int]) -> Edge:
         x = tuple(sorted(_as_vertex(v) for v in subset))
@@ -129,7 +158,7 @@ class Hypergraph:
 
     def completions(self, subset: Iterable[int]) -> Edge:
         """Ascending vertices v with subset + {v} an edge (empty if none)."""
-        return self._index.get(self._check_subset(subset), ())
+        return tuple(self._completion_array(self._check_subset(subset)).tolist())
 
     def codegree(self, subset: Iterable[int]) -> int:
         """Number of edges containing the given (k-1)-subset."""
@@ -144,9 +173,12 @@ class Hypergraph:
         allowed = frozenset(_as_vertex(v) for v in targets)
         return sum(1 for v in self.completions(subset) if v in allowed)
 
-    def codegree_index(self):
-        """Read-only view of the co-degree index (absent key = degree 0)."""
-        return self._index_view
+    def _degrees(self) -> np.ndarray:  # co-degree of each index key
+        return np.diff(self._offsets)
+
+    def _edge_slots(self) -> np.ndarray:
+        """(E, k) array: entry (e, j) is the index position of edge e minus column j."""
+        return np.searchsorted(self._keys, _subset_ranks(self.n, self.edge_array)).T
 
     def codegree_extremes(self) -> tuple[int, int]:
         """(min, max) co-degree over all C(n, k-1) subsets, zeros included.
@@ -154,44 +186,23 @@ class Hypergraph:
         Zero-degree subsets are exactly the keys absent from the index, so
         the minimum is 0 whenever the index has fewer keys than C(n, k-1).
         """
-        total = math.comb(self.n, self.k - 1)
-        if not self._index:
+        if not len(self._keys):
             return (0, 0)
-        hi = max(len(vs) for vs in self._index.values())
-        if len(self._index) < total:
-            return (0, hi)
-        return (min(len(vs) for vs in self._index.values()), hi)
-
-    def _codegree_arrays(self):
-        """Flat (keys, degrees, completions, group ids) arrays.
-
-        Acceleration structure for partition verification; built lazily,
-        cached, and never mutated afterwards.
-        """
-        if self._arrays is None:
-            keys = tuple(self._index)
-            degrees = np.fromiter(
-                (len(self._index[x]) for x in keys), dtype=np.int64, count=len(keys)
-            )
-            flat = np.fromiter(
-                (v for x in keys for v in self._index[x]),
-                dtype=np.int64,
-                count=int(degrees.sum()),
-            )
-            groups = np.repeat(np.arange(len(keys), dtype=np.int64), degrees)
-            self._arrays = (keys, degrees, flat, groups)
-        return self._arrays
+        degrees = self._degrees()
+        full = len(self._keys) == math.comb(self.n, self.k - 1)
+        return (int(degrees.min()) if full else 0, int(degrees.max()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented
-        return (self.n, self.k, self.edges) == (other.n, other.k, other.edges)
+        return ((self.n, self.k) == (other.n, other.k)
+                and np.array_equal(self.edge_array, other.edge_array))
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.edges))
+        return hash((self.n, self.k, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Hypergraph(n={self.n}, k={self.k}, edges={len(self.edges)})"
+        return f"Hypergraph(n={self.n}, k={self.k}, edges={self.edge_count()})"
 
 
 class BalancedPartition:
@@ -249,22 +260,34 @@ class BalancedPartition:
         return f"BalancedPartition(n={self.n}, k={self.k})"
 
 
+def _transversal_mask(hypergraph: Hypergraph, partition: BalancedPartition) -> np.ndarray:
+    """Per edge, whether it meets every part of the partition exactly once."""
+    if partition.n != hypergraph.n:
+        raise ValueError("partition and hypergraph disagree on n")
+    if partition.k != hypergraph.k:
+        raise ValueError("need exactly k parts for a k-uniform hypergraph")
+    labels = np.asarray(partition.assignment)[hypergraph.edge_array].T
+    return np.all([a != b for a, b in itertools.combinations(labels, 2)], axis=0)
+
+
 class PartiteHypergraph:
     """k-partite restriction: every edge meets each part exactly once."""
 
-    __slots__ = ("hypergraph", "partition")
+    __slots__ = ("hypergraph", "partition", "_rows")
 
     def __init__(self, hypergraph: Hypergraph, partition: BalancedPartition):
-        if partition.n != hypergraph.n:
-            raise ValueError("partition and hypergraph disagree on n")
-        if partition.k != hypergraph.k:
-            raise ValueError("need exactly k parts for a k-uniform hypergraph")
-        assignment = partition.assignment
-        for e in hypergraph.edges:
-            if len({assignment[v] for v in e}) != hypergraph.k:
-                raise ValueError(f"edge {e} is not a transversal of the partition")
-        self.hypergraph = hypergraph
-        self.partition = partition
+        transversal = _transversal_mask(hypergraph, partition)
+        if not transversal.all():
+            e = tuple(hypergraph.edge_array[np.argmin(transversal)].tolist())
+            raise ValueError(f"edge {e} is not a transversal of the partition")
+        self.hypergraph, self.partition, self._rows = hypergraph, partition, None
+
+    @classmethod
+    def _trusted(cls, hypergraph: Hypergraph, partition: BalancedPartition) -> "PartiteHypergraph":
+        """Internal fast path: every edge already meets each part once."""
+        obj = object.__new__(cls)
+        obj.hypergraph, obj.partition, obj._rows = hypergraph, partition, None
+        return obj
 
     @property
     def n(self) -> int:
@@ -286,36 +309,55 @@ class PartiteHypergraph:
         """Minimum over parts i and transversal (k-1)-tuples X of the other
         parts of the number of completions of X inside part i.
 
-        Cost is k * m^(k-1) index lookups; intended for desk scale.
+        Every edge is transversal, so that is the co-degree of X. The
+        k * m^(k-1) tuples are ranked and looked up as arrays; intended for
+        desk scale.
         """
-        h = self.hypergraph
-        assignment = self.partition.assignment
-        best: Optional[int] = None
+        keys, offsets = self.hypergraph._keys, self.hypergraph._offsets
+        parts = np.asarray(self.parts, dtype=np.int64)
+        best = math.inf
         for i in range(self.k):
-            others = [self.parts[j] for j in range(self.k) if j != i]
-            for combo in itertools.product(*others):
-                x = tuple(sorted(combo))
-                d = sum(1 for v in h._index.get(x, ()) if assignment[v] == i)
-                if best is None or d < best:
-                    best = d
-                    if best == 0:
-                        return 0
-        return best if best is not None else 0
+            grid = np.meshgrid(*np.delete(parts, i, axis=0), indexing="ij")
+            tuples = np.sort(np.stack(grid, axis=-1).reshape(-1, self.k - 1), axis=1)
+            ranks = _lex_ranks(self.n, list(tuples.T))
+            # lo == hi, so the degree is 0, exactly when the rank is no key
+            lo, hi = np.searchsorted(keys, ranks), np.searchsorted(keys, ranks, "right")
+            best = min(best, int((offsets[hi] - offsets[lo]).min()))
+            if best == 0:
+                break
+        return best
+
+    def _row_table(self) -> tuple[list[int], list[Edge]]:
+        """(position, rows), built on first use: ``position[v]`` is v's
+        index inside its part, and ``rows[sum_j p_j * m^(k-2-j)]`` lists the
+        ascending last-part positions of the completions of the transversal
+        tuple with positions p_0..p_{k-2} in parts 0..k-2."""
+        if self._rows is None:
+            m, k = self.m, self.k
+            position = np.empty(self.n, dtype=np.int64)
+            position[np.asarray(self.parts)] = np.arange(m)
+            edges = self.hypergraph.edge_array
+            by_part = np.empty_like(edges)  # column j: the vertex in part j
+            by_part[np.arange(len(edges))[:, None], np.asarray(self.partition.assignment)[edges]] = edges
+            local = position[by_part]
+            index = np.zeros(len(edges), dtype=np.int64)
+            for j in range(k - 1):
+                index = index * m + local[:, j]
+            keyed = np.sort(index * m + local[:, k - 1])
+            ends = np.cumsum(np.bincount(keyed // m, minlength=m ** (k - 1))).tolist()
+            right = (keyed % m).tolist()
+            rows = [tuple(right[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+            self._rows = (position.tolist(), rows)
+        return self._rows
 
     def __repr__(self) -> str:
-        return f"PartiteHypergraph(n={self.n}, k={self.k}, edges={len(self.hypergraph.edges)})"
+        return f"PartiteHypergraph(n={self.n}, k={self.k}, edges={self.hypergraph.edge_count()})"
 
 
 def induce_partite(hypergraph: Hypergraph, partition: BalancedPartition) -> PartiteHypergraph:
     """Keep exactly the edges that meet every part of the partition once."""
-    if partition.n != hypergraph.n:
-        raise ValueError("partition and hypergraph disagree on n")
-    if partition.k != hypergraph.k:
-        raise ValueError("need exactly k parts for a k-uniform hypergraph")
-    assignment = partition.assignment
-    k = hypergraph.k
-    kept = [e for e in hypergraph.edges if len({assignment[v] for v in e}) == k]
-    return PartiteHypergraph(Hypergraph._trusted(hypergraph.n, k, kept), partition)
+    kept = hypergraph.edge_array[_transversal_mask(hypergraph, partition)]
+    return PartiteHypergraph._trusted(Hypergraph._trusted(hypergraph.n, hypergraph.k, kept), partition)
 
 
 # -- perfect matchings ----------------------------------------------------
@@ -342,7 +384,7 @@ def check_perfect_matching(hypergraph: Hypergraph, matching: Iterable[Iterable[i
     disjoint, and cover every vertex exactly once."""
     edges = [tuple(sorted(_as_vertex(v) for v in e)) for e in matching]
     for e in edges:
-        if e not in hypergraph._edge_set:
+        if not hypergraph.has_edge(e):
             return MatchingCheck(False, "non-edge", (e,))
     covered: set[int] = set()
     for e in edges:
@@ -368,75 +410,50 @@ class PMSearch:
     reason: Optional[str] = None
 
 
-def _edges_by_vertex(hypergraph: Hypergraph) -> list[list[Edge]]:
-    by_vertex: list[list[Edge]] = [[] for _ in range(hypergraph.n)]
-    for e in hypergraph.edges:  # lexicographic, so candidate order is deterministic
+def _perfect_matchings(hypergraph: Hypergraph):
+    """Every perfect matching, by backtracking over the lowest uncovered
+    vertex with candidate edges in lexicographic order; k must divide n."""
+    n = hypergraph.n
+    by_vertex: list[list[Edge]] = [[] for _ in range(n)]
+    for e in hypergraph.edges:
         for v in e:
             by_vertex[v].append(e)
-    return by_vertex
-
-
-def bruteforce_perfect_matching(hypergraph: Hypergraph) -> PMSearch:
-    """Deterministic backtracking over the lowest uncovered vertex.
-
-    Candidate edges are tried in lexicographic order, so the returned
-    matching is a pure function of the hypergraph. Practical up to roughly
-    n = 21 for k = 3.
-    """
-    n, k = hypergraph.n, hypergraph.k
-    if n % k:
-        return PMSearch(None, "k-does-not-divide-n")
-    by_vertex = _edges_by_vertex(hypergraph)
     covered = bytearray(n)
     chosen: list[Edge] = []
 
-    def walk(start: int) -> bool:
-        v = start
+    def walk(v: int):
         while v < n and covered[v]:
             v += 1
         if v == n:
-            return True
+            yield tuple(chosen)
+            return
         for e in by_vertex[v]:
             if any(covered[u] for u in e):
                 continue
             for u in e:
                 covered[u] = 1
             chosen.append(e)
-            if walk(v + 1):
-                return True
+            yield from walk(v + 1)
             chosen.pop()
             for u in e:
                 covered[u] = 0
-        return False
 
-    if walk(0):
-        return PMSearch(tuple(chosen))
-    return PMSearch(None, "exhausted")
+    return walk(0)
+
+
+def bruteforce_perfect_matching(hypergraph: Hypergraph) -> PMSearch:
+    """The first perfect matching of the deterministic backtracking search,
+    a pure function of the hypergraph. Practical up to roughly n = 21 for
+    k = 3.
+    """
+    if hypergraph.n % hypergraph.k:
+        return PMSearch(None, "k-does-not-divide-n")
+    first = next(_perfect_matchings(hypergraph), None)
+    return PMSearch(first) if first is not None else PMSearch(None, "exhausted")
 
 
 def count_perfect_matchings(hypergraph: Hypergraph) -> int:
     """Exact number of perfect matchings (0 when k does not divide n)."""
-    n, k = hypergraph.n, hypergraph.k
-    if n % k:
+    if hypergraph.n % hypergraph.k:
         return 0
-    by_vertex = _edges_by_vertex(hypergraph)
-    covered = bytearray(n)
-
-    def walk(start: int) -> int:
-        v = start
-        while v < n and covered[v]:
-            v += 1
-        if v == n:
-            return 1
-        total = 0
-        for e in by_vertex[v]:
-            if any(covered[u] for u in e):
-                continue
-            for u in e:
-                covered[u] = 1
-            total += walk(v + 1)
-            for u in e:
-                covered[u] = 0
-        return total
-
-    return walk(0)
+    return sum(1 for _ in _perfect_matchings(hypergraph))

@@ -67,17 +67,15 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 
 
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
-    """Bipartite graph between the m permutation rows and the last part."""
+    """Bipartite graph between the m permutation rows and the last part;
+    called once per search attempt, so it only indexes lists."""
     _validate_family(partite, family)
-    index = partite.hypergraph.codegree_index()
-    last = partite.parts[-1]
-    right_of = {v: i for i, v in enumerate(last)}
-    rows = []
-    for i in range(partite.m):
-        key = tuple(sorted(perm[i] for perm in family.maps))
-        # completions of a transversal (k-1)-row all lie in the last part
-        rows.append([right_of[v] for v in index.get(key, ())])
-    return BipartiteGraph(partite.m, rows)
+    position, table = partite._row_table()
+    m, maps = partite.m, family.maps
+    index = [position[v] for v in maps[0]]
+    for perm in maps[1:]:
+        index = [i * m + position[v] for i, v in zip(index, perm)]
+    return BipartiteGraph._trusted(m, [table[i] for i in index])
 
 
 def matching_to_edges(partite: PartiteHypergraph, family: PermutationFamily,

@@ -87,16 +87,12 @@ def _check_degrees(graph: BipartiteGraph, eps: float, p: float, mode: str) -> Op
     return None
 
 
-def _size_classes(m: int, x: int) -> tuple[bool, bool]:
-    """(property-2 class, property-3 class) membership of |X| = x."""
-    y = x - 1
-    in2 = 10 * y <= m
-    in3 = 10 * y >= m and 2 * y <= m
-    return in2, in3
-
-
-def _caps(m: int, p: float, eps: float, x: int) -> tuple[float, float]:
-    return m * p * x / 2.0, (0.5 + eps / 2.0) * m * p * x
+def _size_classes(m: int, p: float, eps: float, sizes: np.ndarray):
+    """(property, membership of |X| in its size class, cap on e(X, Y)) for
+    properties 2 and 3, elementwise over the sizes |X| >= 1."""
+    spare = sizes - 1
+    return ((2, 10 * spare <= m, m * p * sizes / 2.0),
+            (3, (10 * spare >= m) & (2 * spare <= m), (0.5 + eps / 2.0) * m * p * sizes))
 
 
 def _top_sum_witness(rows: np.ndarray, members: list[int], y: int) -> tuple[tuple[int, ...], int]:
@@ -119,14 +115,8 @@ def _exact_orientation(rows: np.ndarray, side: str, eps: float, p: float,
     tops = np.zeros(len(sizes), dtype=np.int64)
     full = sizes >= 2
     tops[full] = prefix[np.nonzero(full)[0], sizes[full] - 2]
-    spare = sizes - 1
-    nonempty = sizes >= 1
-    in2 = nonempty & (10 * spare <= m)
-    in3 = nonempty & (10 * spare >= m) & (2 * spare <= m)
-    cap2 = m * p * sizes / 2.0
-    cap3 = (0.5 + eps / 2.0) * m * p * sizes
-    for prop, mask, cap in ((2, in2, cap2), (3, in3, cap3)):
-        violations = mask & (tops > cap)
+    for prop, mask, cap in _size_classes(m, p, eps, sizes):
+        violations = (sizes >= 1) & mask & (tops > cap)
         if violations.any():
             code = int(np.nonzero(violations)[0][0])
             members = [i for i in range(m) if (code >> i) & 1]
@@ -139,18 +129,16 @@ def _exact_orientation(rows: np.ndarray, side: str, eps: float, p: float,
 def _sampled_orientation(rows: np.ndarray, side: str, eps: float, p: float,
                          rng: Rng, trials: int, mode: str) -> Optional[PseudorandomVerdict]:
     m = rows.shape[0]
-    for prop in (2, 3):
-        sizes = [x for x in range(1, m + 1) if _size_classes(m, x)[prop - 2]]
-        sizes = [x for x in sizes if x >= 2]  # x = 1 gives e(X, {}) = 0, never a violation
+    all_sizes = np.arange(2, m + 1)  # x = 1 gives e(X, {}) = 0, never a violation
+    for prop, mask, caps in _size_classes(m, p, eps, all_sizes):
+        sizes = all_sizes[mask].tolist()
         if not sizes:
             continue
         for _ in range(trials):
             x = sizes[rng.below(len(sizes))]
             members = sorted(rng.choose(m, x))
             chosen, edges = _top_sum_witness(rows, members, x - 1)
-            cap2, cap3 = _caps(m, p, eps, x)
-            cap = cap2 if prop == 2 else cap3
-            if edges > cap:
+            if edges > caps[x - 2]:
                 return PseudorandomVerdict(
                     False, prop, (tuple(members), chosen, edges), side, mode)
     return None

@@ -37,8 +37,7 @@ def substream(seed: int, label: int) -> int:
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
-    # uint64 arithmetic wraps mod 2**64, matching mix64 exactly
-    x = x.copy()
+    # in place; uint64 arithmetic wraps mod 2**64, matching mix64 exactly
     x ^= x >> np.uint64(30)
     x *= np.uint64(_MUL1)
     x ^= x >> np.uint64(27)
@@ -71,7 +70,9 @@ class Rng:
         start = self.counter
         self.counter += count
         ticks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        return _mix64_array(np.uint64(self.key) + ticks * np.uint64(GOLDEN))
+        ticks *= np.uint64(GOLDEN)
+        ticks += np.uint64(self.key)
+        return _mix64_array(ticks)
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
@@ -91,9 +92,19 @@ class Rng:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
+        """In-place Fisher-Yates shuffle: swap i with below(i + 1), i = len-1..1.
+
+        Words come as one block; if one lies within len of 2**64, where below
+        may reject, below redraws them all from the same counter."""
+        size = len(items)
+        start = self.counter
+        words = self.u64_block(max(size - 1, 0))
+        if int(words.max(initial=0)) > MASK64 - size:
+            self.counter = start
+            swaps = [self.below(i + 1) for i in range(size - 1, 0, -1)]
+        else:
+            swaps = (words % np.arange(size, 1, -1, dtype=np.uint64)).tolist()
+        for i, j in zip(range(size - 1, 0, -1), swaps):
             items[i], items[j] = items[j], items[i]
 
     def permutation(self, n: int) -> list[int]:

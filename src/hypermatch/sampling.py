@@ -2,79 +2,33 @@
 
 The binomial hypergraph sampler enumerates all C(n, k) subsets and spends
 one uniform draw on each, so the output is a pure function of
-(n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly. For
-sparse p a draw-count-then-sample mode exists behind a flag; the default
-stays full enumeration for fidelity to the model.
+(n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .hypergraph import BalancedPartition, Edge, Hypergraph
+from .hypergraph import BalancedPartition, Edge, Hypergraph, lex_unrank
 from .rng import Rng
 
 
-def sample_hypergraph(n: int, k: int, p: float, seed: int, *, sparse: bool = False) -> Hypergraph:
+def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Random k-uniform hypergraph: each k-subset is an edge independently
     with probability p, deterministic in the seed.
 
-    With sparse=True the edge count is drawn first (inverse-CDF binomial)
-    and that many distinct subsets are then sampled by rank; same marginal
-    model, different stream consumption, useful when p * C(n, k) is tiny.
+    Draw t of the stream decides the subset of lexicographic rank t.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if k < 2 or n < k:
         raise ValueError("need n >= k >= 2")
-    total = math.comb(n, k)
-    rng = Rng(seed)
-    if sparse:
-        count = _binomial_draw(rng, total, p)
-        ranks = sorted(rng.choose(total, count))
-        edges = [_subset_by_rank(n, k, r) for r in ranks]
-        return Hypergraph._trusted(n, k, edges)
-    mask = rng.uniform_block(total) < p
-    universe = itertools.combinations(range(n), k)
-    return Hypergraph._trusted(n, k, list(itertools.compress(universe, mask)))
-
-
-def _binomial_draw(rng: Rng, trials: int, p: float) -> int:
-    u = rng.uniform()
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return trials
-    acc = 0.0
-    pmf = (1.0 - p) ** trials
-    for j in range(trials + 1):
-        acc += pmf
-        if u < acc or j == trials:
-            return j
-        pmf *= (trials - j) / (j + 1.0) * (p / (1.0 - p))
-    return trials
-
-
-def _subset_by_rank(n: int, k: int, rank: int) -> Edge:
-    # combinatorial number system, lexicographic order
-    out = []
-    prev = -1
-    for slot in range(k, 0, -1):
-        v = prev + 1
-        while True:
-            block = math.comb(n - v - 1, slot - 1)
-            if rank < block:
-                break
-            rank -= block
-            v += 1
-        out.append(v)
-        prev = v
-    return tuple(out)
+    mask = Rng(seed).uniform_block(math.comb(n, k)) < p
+    return Hypergraph._trusted(n, k, lex_unrank(n, k, np.flatnonzero(mask)))
 
 
 def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
@@ -114,16 +68,14 @@ class PartitionReport:
 def _part_counts(hypergraph: Hypergraph, partition: BalancedPartition):
     if partition.n != hypergraph.n or partition.k != hypergraph.k:
         raise ValueError("partition does not match the hypergraph")
-    keys, degrees, flat, groups = hypergraph._codegree_arrays()
-    k = hypergraph.k
-    if not keys:
-        return keys, degrees, np.zeros((0, k), dtype=np.int64)
-    assignment = np.asarray(partition.assignment, dtype=np.int64)
-    packed = groups * k + assignment[flat]
-    counts = np.bincount(packed, minlength=len(keys) * k).reshape(len(keys), k)
+    # counts[s, i]: the completions of index key s inside part i
+    k, degrees = hypergraph.k, hypergraph._degrees()
+    groups = np.repeat(np.arange(len(degrees)) * k, degrees)
+    packed = groups + np.asarray(partition.assignment)[hypergraph._completions]
+    counts = np.bincount(packed, minlength=len(degrees) * k).reshape(len(degrees), k)
     if not np.array_equal(counts.sum(axis=1), degrees):
         raise AssertionError("parts do not cover all completions")
-    return keys, degrees, counts
+    return degrees, counts
 
 
 def _deviations(degrees: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
@@ -133,8 +85,8 @@ def _deviations(degrees: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
 def partition_worst_deviation(hypergraph: Hypergraph, partition: BalancedPartition) -> float:
     """Cheap path of verify_partition for retry loops: the worst relative
     deviation only, 0.0 when no subset has positive co-degree."""
-    keys, degrees, counts = _part_counts(hypergraph, partition)
-    if not keys:
+    degrees, counts = _part_counts(hypergraph, partition)
+    if not len(degrees):
         return 0.0
     return float(_deviations(degrees, counts, hypergraph.k).max())
 
@@ -145,18 +97,20 @@ def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha
 
     The comparison is on the relative deviation, with the boundary itself
     passing, so ``violations`` is empty exactly when
-    ``worst_deviation <= alpha``.
+    ``worst_deviation <= alpha``. Violations are listed by subset in
+    lexicographic order, then by part.
     """
-    keys, degrees, counts = _part_counts(hypergraph, partition)
-    skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(keys)
-    if not keys:
+    degrees, counts = _part_counts(hypergraph, partition)
+    skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(degrees)
+    if not len(degrees):
         return PartitionReport(alpha, 0.0, (), 0, skipped)
     dev = _deviations(degrees, counts, hypergraph.k)
     worst = float(dev.max())
-    violations = []
-    for g, i in np.argwhere(dev > alpha):
-        violations.append((keys[g], int(i), int(counts[g, i]), int(degrees[g])))
-    return PartitionReport(alpha, worst, tuple(violations), len(keys), skipped)
+    slots, parts = np.nonzero(dev > alpha)
+    subsets = map(tuple, lex_unrank(hypergraph.n, hypergraph.k - 1, hypergraph._keys[slots]).tolist())
+    violations = tuple(zip(subsets, parts.tolist(), counts[slots, parts].tolist(),
+                           degrees[slots].tolist()))
+    return PartitionReport(alpha, worst, violations, len(degrees), skipped)
 
 
 # -- co-degree concentration ------------------------------------------------
@@ -179,20 +133,15 @@ class ConcentrationReport:
     offender_codegree: Optional[int]
 
 
-def _first_missing_subset(hypergraph: Hypergraph) -> Edge:
-    for x in itertools.combinations(range(hypergraph.n), hypergraph.k - 1):
-        if x not in hypergraph.codegree_index():
-            return x
-    raise AssertionError("no zero-degree subset exists")
-
-
 def _subset_with_degree(hypergraph: Hypergraph, degree: int) -> Edge:
+    """Lexicographically first (k-1)-subset of an attained co-degree."""
+    keys = hypergraph._keys
     if degree == 0:
-        return _first_missing_subset(hypergraph)
-    for x, vs in hypergraph.codegree_index().items():
-        if len(vs) == degree:
-            return x
-    raise AssertionError("degree not attained")
+        # ascending distinct keys agree with 0, 1, 2, ... up to the first gap
+        ranks = [int((keys == np.arange(len(keys))).sum())]
+    else:
+        ranks = keys[hypergraph._degrees() == degree][:1]
+    return tuple(lex_unrank(hypergraph.n, hypergraph.k - 1, ranks)[0].tolist())
 
 
 def check_codegree_concentration(hypergraph: Hypergraph, p: float, eps: float) -> ConcentrationReport:

@@ -27,6 +27,16 @@ def codegree_by_enumeration(edges, subset):
     return sum(1 for e in edges if s.issubset(e))
 
 
+def completions_by_enumeration(edges, k):
+    """Every (k-1)-subset with a completion, in lexicographic order, mapped
+    to its ascending completions; built edge by edge."""
+    table = {}
+    for e in edges:
+        for j in range(k):
+            table.setdefault(e[:j] + e[j + 1:], []).append(e[j])
+    return {x: tuple(sorted(vs)) for x, vs in sorted(table.items())}
+
+
 def codegree_into_by_enumeration(edges, subset, targets):
     s, t = set(subset), set(targets)
     return sum(1 for e in edges if s.issubset(e) and set(e) - s <= t)
@@ -108,6 +118,48 @@ def exhaustive_max_matching(adjacency):
         return top
 
     return best(0, 0)
+
+
+def recursive_hopcroft_karp(adjacency):
+    """Hopcroft-Karp with a recursive augmenting DFS: rows ascending,
+    neighbors in stored order. Returns the row -> right map (-1 unmatched)."""
+    m = len(adjacency)
+    inf = m + 1
+    match_l, match_r, dist = [-1] * m, [-1] * m, [inf] * m
+
+    def bfs():
+        queue = [u for u in range(m) if match_l[u] == -1]
+        for u in range(m):
+            dist[u] = 0 if match_l[u] == -1 else inf
+        found, head = inf, 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            if dist[u] >= found:
+                continue
+            for v in adjacency[u]:
+                w = match_r[v]
+                if w == -1:
+                    found = dist[u] + 1
+                elif dist[w] == inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return found != inf
+
+    def dfs(u):
+        for v in adjacency[u]:
+            w = match_r[v]
+            if w == -1 or (dist[w] == dist[u] + 1 and dfs(w)):
+                match_l[u], match_r[v] = v, u
+                return True
+        dist[u] = inf
+        return False
+
+    while bfs():
+        for u in range(m):
+            if match_l[u] == -1:
+                dfs(u)
+    return tuple(match_l)
 
 
 def perfect_matching_exists(adjacency):

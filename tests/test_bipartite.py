@@ -117,3 +117,20 @@ def test_certificate_recomputes_on_seeded_graphs():
         assert tuple(recomputed) == cert.neighborhood
         assert len(cert.neighborhood) <= len(cert.members) - 1
     assert found > 50
+
+
+def test_matching_long_chain_has_no_recursion_limit():
+    # rows {u, u+1}, last row {0}: the only perfect matching shifts every
+    # row by one, and the first phases grow augmenting paths of length ~m
+    m = 3000
+    g = BipartiteGraph(m, [[u, u + 1] for u in range(m - 1)] + [[0]])
+    mm = max_matching(g)
+    assert mm.is_perfect()
+    assert mm.row_to_right == tuple(range(1, m)) + (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 24), st.floats(0.02, 0.6), st.integers(0, 2**32))
+def test_matching_equals_recursive_reference(m, density, seed):
+    g = oracles.random_bipartite(m, density, seed)
+    assert max_matching(g).row_to_right == oracles.recursive_hopcroft_karp(g.adjacency)

@@ -140,6 +140,16 @@ def test_experiment_config_file_and_determinism(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_experiment_config_wrong_type_is_one_line_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        "n": "60", "k": 3, "p": 0.5, "epsilon": 0.2, "trials": 1, "base_seed": 1,
+    }))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert code == 1
+    assert err.strip().splitlines() == ["error: config field 'n' must be int, got '60'"]
+
+
 def test_experiment_missing_flags(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--n", "6")
     assert code == 1 and "--k" in err

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -41,6 +42,26 @@ def test_config_json_round_trip():
     assert exp.ExperimentConfig.from_json(cfg.to_json()) == cfg
     with pytest.raises(ValueError):
         exp.ExperimentConfig.from_json(json.dumps({"n": 6, "bogus": 1}))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", "6"), ("trials", 2.0), ("base_seed", True), ("k", None), ("p", "1"),
+    ("adversary", 3), ("record_timing", 1), ("greedy_threshold", 1.5), ("pi_budget", [10]),
+])
+def test_config_json_rejects_wrong_types(field, value):
+    data = json.loads(small_config().to_json())
+    data[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
+        exp.ExperimentConfig.from_json(json.dumps(data))
+
+
+def test_config_json_accepts_int_for_float_and_null_for_optional():
+    data = json.loads(small_config().to_json())
+    data.update(p=1, epsilon=1, greedy_threshold=None, v1_size=3)
+    cfg = exp.ExperimentConfig.from_json(json.dumps(data))
+    assert (cfg.p, cfg.epsilon, cfg.greedy_threshold, cfg.v1_size) == (1, 1, None, 3)
+    with pytest.raises(ValueError):
+        exp.ExperimentConfig.from_json("[6, 3]")
 
 
 def test_complete_instance_all_match():
@@ -103,6 +124,40 @@ def test_csv_byte_identical_across_runs(tmp_path):
     a = exp.records_to_csv(exp.records(exp.run_experiment(cfg)))
     b = exp.records_to_csv(exp.records(exp.run_experiment(cfg)))
     assert a.encode() == b.encode()
+
+
+# SHA-256 of records_to_csv and of outcomes_to_json (which adds the
+# matchings and Hall certificates) for small configs of every adversary. A
+# change of data representation or of a vectorized path must leave both
+# byte-identical; an intended change of behaviour re-pins them.
+PINNED_OUTPUTS = [
+    (dict(n=36, k=3, p=0.4, adversary="none", strategy="full-random"),
+     "2f834e799d72067e913b79f1a5ce5d7374df1fac06ec7c91a43fe1d7b379c2b2",
+     "e3d6968c0157da86aeb041107b33fd319e1654809ed60980e8a85c3ffb1c9814"),
+    (dict(n=30, k=3, p=0.5, adversary="parity", pi_budget=40),
+     "b616534bd38984a269024e9b722a21a4fba0f631aef21ce4765726866373f6b9",
+     "e9ddc6357219526fc06edc075feaddbda24eb51211030b7cadfe0f3046aed256"),
+    (dict(n=30, k=3, p=0.5, adversary="greedy"),
+     "224dbd6bd02c7f7824de4143eb2443562e3b23b818ae82e373179ed815ebb037",
+     "3a9c4882d7417f5711ef60881903acb67917ae28fab61b6f6344f0f115b64f58"),
+    (dict(n=20, k=2, p=0.3, adversary="none"),
+     "0c85e29adae8a0b2c6004195a2fcc717dcaf56066416513ac7913a59f62e3961",
+     "2d19c31610b4610acfe03641bdaf1ad691ab5c68a6154df2343ded0207dcde0b"),
+    (dict(n=16, k=4, p=0.5, adversary="greedy", strategy="full-random"),
+     "3e2fcf3e30f4bf1331b13fc89cc7ffe41c6e1cddc55f36c8badbfd84f26ac61d",
+     "c5e8ec5544c400bcc880c148cb97f68ff69d6646d61c049fd236258922e5b272"),
+]
+
+
+@pytest.mark.parametrize("overrides,csv_sha,json_sha", PINNED_OUTPUTS,
+                         ids=["none-k3", "parity-k3", "greedy-k3", "none-k2", "greedy-k4"])
+def test_output_pinned(overrides, csv_sha, json_sha):
+    cfg = exp.ExperimentConfig(epsilon=0.2, trials=3, base_seed=2024, **overrides)
+    outs = exp.run_experiment(cfg)
+    csv_text = exp.records_to_csv(exp.records(outs))
+    assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == csv_sha
+    json_text = exp.outcomes_to_json(cfg, outs)
+    assert hashlib.sha256(json_text.encode("utf-8")).hexdigest() == json_sha
 
 
 def test_timing_flag_populates_runtime(tmp_path):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from hypermatch import (
     induce_partite,
     sample_balanced_partition,
     sample_hypergraph,
+    verify_partition,
 )
 
 import oracles
@@ -55,11 +57,66 @@ def test_rejects_bad_parameters():
         Hypergraph(2, 3, [])
 
 
-def test_index_paths_agree(monkeypatch):
-    h = sample_hypergraph(30, 3, 0.4, 99)
-    monkeypatch.setattr(hg, "_VECTOR_INDEX_THRESHOLD", 1)
-    forced = Hypergraph(30, 3, h.edges)
-    assert dict(forced.codegree_index()) == dict(h.codegree_index())
+# k * |E| above 50k for every k, with (0, ..., k-2) left at co-degree zero
+@pytest.mark.parametrize("n,k,p,alpha", [(240, 2, 0.9, 0.05), (60, 3, 0.5, 0.5), (32, 4, 0.4, 1.0)])
+def test_index_matches_enumeration(n, k, p, alpha):
+    sampled = sample_hypergraph(n, k, p, 99)
+    hole = set(range(k - 1))
+    h = Hypergraph(n, k, [e for e in sampled.edges if not hole <= set(e)])
+    assert k * len(h.edges) > 50_000
+    table = oracles.completions_by_enumeration(h.edges, k)
+    degrees = []
+    for x in itertools.combinations(range(n), k - 1):
+        assert h.completions(x) == table.get(x, ())
+        degrees.append(len(table.get(x, ())))
+    assert h.codegree(tuple(hole)) == 0
+    for x in list(table)[:: len(table) // 5]:
+        assert h.codegree(x) == oracles.codegree_by_enumeration(h.edges, x)
+    assert h.codegree_extremes() == (min(degrees), max(degrees))
+    assert all(h.has_edge(e) for e in h.edges[::97])
+    assert not h.has_edge(tuple(range(k)))
+    assert not h.has_edge(tuple(range(n - k, n + 1))) and not h.has_edge(tuple(range(k + 1)))
+
+    partition = sample_balanced_partition(n, k, 5)
+    expected = []
+    for x, vs in table.items():
+        for i, part in enumerate(partition.parts):
+            count = len(set(vs) & set(part))
+            if abs(count * k / len(vs) - 1.0) > alpha:
+                expected.append((x, i, count, len(vs)))
+    report = verify_partition(h, partition, alpha)
+    assert report.violations == tuple(expected) and expected
+    assert report.checked == len(table)
+    assert report.skipped == math.comb(n, k - 1) - len(table)
+
+
+def test_edge_array_and_lazy_edges():
+    h = Hypergraph(6, 3, [(3, 2, 1), (0, 4, 5), (1, 2, 3)])
+    assert h.edge_count() == 2 and h.edges == ((0, 4, 5), (1, 2, 3))
+    assert h.edges is h.edges
+    assert h.edge_array.tolist() == [[0, 4, 5], [1, 2, 3]]
+    with pytest.raises(ValueError):
+        h.edge_array[0, 0] = 1
+
+
+def test_large_n_index_is_sparse():
+    h = Hypergraph(10**6, 3, [(0, 5, 999_999), (1, 2, 3)])
+    assert h.codegree((0, 5)) == 1 and h.completions((5, 999_999)) == (0,)
+    assert h.codegree_extremes() == (0, 1)
+    assert h.has_edge((999_999, 0, 5)) and not h.has_edge((0, 5, 6))
+
+
+def test_rank_overflow_rejected_at_construction():
+    # C(10^7, 3) * 10^7 > 2^63: a key rank * n + vertex would overflow int64
+    with pytest.raises(ValueError):
+        Hypergraph(10**7, 4, [])
+
+
+@pytest.mark.parametrize("n,r", [(1, 1), (7, 1), (7, 3), (9, 9), (12, 5)])
+def test_lex_unrank_matches_combinations(n, r):
+    expected = list(itertools.combinations(range(n), r))
+    got = hg.lex_unrank(n, r, np.arange(len(expected)))
+    assert [tuple(row) for row in got.tolist()] == expected
 
 
 # -- co-degree queries ---------------------------------------------------------
@@ -189,6 +246,15 @@ def test_min_transversal_codegree_matches_scan(seed):
     p = sample_balanced_partition(12, 3, seed + 7)
     hp = induce_partite(h, p)
     expected = oracles.min_transversal_codegree_scan(p.parts, hp.hypergraph.edges)
+    assert hp.min_transversal_codegree() == expected
+
+
+@pytest.mark.parametrize("n,k,p", [(8, 2, 0.5), (8, 2, 0.9), (12, 4, 0.7), (16, 4, 0.9)])
+def test_min_transversal_codegree_matches_scan_other_k(n, k, p):
+    h = sample_hypergraph(n, k, p, n * k)
+    part = sample_balanced_partition(n, k, 3)
+    hp = induce_partite(h, part)
+    expected = oracles.min_transversal_codegree_scan(part.parts, hp.hypergraph.edges)
     assert hp.min_transversal_codegree() == expected
 
 

@@ -77,6 +77,21 @@ def test_auxiliary_edge_count_identity_family(seed):
     assert b.edge_count() == expected
 
 
+@pytest.mark.parametrize("n,k", [(12, 3), (12, 4), (8, 2)])
+def test_auxiliary_rows_match_definition(n, k):
+    h = sample_hypergraph(n, k, 0.6, n + k)
+    m = n // k
+    p = BalancedPartition([range(j * m, (j + 1) * m) for j in range(k)])
+    hp = induce_partite(h, p)
+    for seed in range(3):
+        fam = _random_family(hp, seed)
+        expected = tuple(
+            tuple(j for j, v in enumerate(p.parts[-1])
+                  if h.has_edge([perm[i] for perm in fam.maps] + [v]))
+            for i in range(m))
+        assert auxiliary_graph(hp, fam).adjacency == expected
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_auxiliary_row_degrees_at_least_dstar(seed):
     h = sample_hypergraph(12, 3, 0.7, seed)

@@ -64,6 +64,40 @@ def test_permutation_is_a_permutation():
     assert Rng(3).permutation(40) == Rng(3).permutation(40)
 
 
+def _scalar_shuffle(rng, items):
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.below(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 241, 17153])
+def test_shuffle_matches_scalar_fisher_yates(size):
+    for seed in range(3):
+        fast, slow = Rng(seed), Rng(seed)
+        a, b = list(range(size)), list(range(size))
+        fast.shuffle(a)
+        _scalar_shuffle(slow, b)
+        assert a == b and fast.counter == slow.counter
+        assert fast.u64() == slow.u64()
+
+
+class _NearTopBlock(Rng):
+    """Puts a word that below() may reject at the front of every block."""
+
+    def u64_block(self, count):
+        words = super().u64_block(count)
+        words[:1] = MASK64
+        return words
+
+
+def test_shuffle_falls_back_to_scalar_draws():
+    fast, slow = _NearTopBlock(9), Rng(9)
+    a, b = list(range(50)), list(range(50))
+    fast.shuffle(a)
+    _scalar_shuffle(slow, b)
+    assert a == b and fast.counter == slow.counter
+
+
 def test_choose_distinct_and_in_range():
     picked = Rng(5).choose(100, 10)
     assert len(set(picked)) == 10

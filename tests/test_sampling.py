@@ -12,6 +12,8 @@ from hypermatch import (
     verify_partition,
 )
 
+from hypermatch.rng import Rng
+
 import oracles
 
 
@@ -49,13 +51,13 @@ def test_mean_edge_count_binomial():
     assert abs(mean - 60.0) < window
 
 
-def test_sparse_mode_same_model():
-    h = sample_hypergraph(10, 3, 0.2, 33, sparse=True)
-    assert all(len(e) == 3 for e in h.edges)
-    assert h == sample_hypergraph(10, 3, 0.2, 33, sparse=True)
-    # degenerate p agrees with the dense path
-    assert sample_hypergraph(8, 3, 0.0, 1, sparse=True).edges == ()
-    assert sample_hypergraph(8, 3, 1.0, 1, sparse=True).edges == tuple(oracles.complete_edges(8, 3))
+@pytest.mark.parametrize("n,k,p", [(12, 2, 0.3), (14, 3, 0.5), (11, 4, 0.4), (9, 9, 1.0)])
+def test_sampler_edges_are_the_drawn_subsets(n, k, p):
+    # draw t of the stream decides the t-th k-subset in lexicographic order
+    for seed in range(3):
+        mask = Rng(seed).uniform_block(math.comb(n, k)) < p
+        expected = tuple(itertools.compress(itertools.combinations(range(n), k), mask))
+        assert sample_hypergraph(n, k, p, seed).edges == expected
 
 
 # -- balanced partitions -------------------------------------------------------
