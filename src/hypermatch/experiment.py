@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 from .adversary import greedy_budget_adversary, parity_adversary
 from .hypergraph import Edge, Hypergraph
 from .pipeline import (
-    STRATEGY_FULL,
+    STRATEGIES,
     STRATEGY_PI1,
     HallCertificate,
     PipelineConfig,
@@ -77,8 +77,8 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.adversary not in ADVERSARIES:
             raise ValueError(f"adversary must be one of {ADVERSARIES}")
-        if self.strategy not in (STRATEGY_PI1, STRATEGY_FULL):
-            raise ValueError(f"strategy must be {STRATEGY_PI1!r} or {STRATEGY_FULL!r}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
         if self.partition_retries < 1 or self.pi_budget < 1:
             raise ValueError("partition_retries and pi_budget must be at least 1")
         if self.resolved_threshold() < 0:

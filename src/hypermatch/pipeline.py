@@ -4,9 +4,9 @@ Given a k-uniform hypergraph H with k | n, the pipeline
 
 a. derives the partition tolerance alpha = eps / (1 + 2*eps), the largest
    value with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2 (met with equality);
-b. samples balanced partitions, keeping the first whose co-degree split
-   passes at alpha, else the best effort partition seen (small instances
-   rarely pass, and matching success is the real arbiter);
+b. samples balanced partitions and scores them in packed blocks, keeping
+   the first whose co-degree split passes at alpha, else the best effort
+   partition seen (small instances rarely pass; matching success decides);
 c. induces the k-partite restriction H' and records its minimum transversal
    co-degree;
 d. searches permutation families pi: rows i of the auxiliary bipartite
@@ -35,10 +35,11 @@ from .hypergraph import (
     induce_partite,
 )
 from .rng import Rng, substream
-from .sampling import partition_worst_deviation, sample_balanced_partition
+from .sampling import sample_balanced_partition, score_partitions
 
 STRATEGY_PI1 = "pi1-only"
 STRATEGY_FULL = "full-random"
+STRATEGIES = (STRATEGY_PI1, STRATEGY_FULL)
 
 # substream labels inside one pipeline run
 _LABEL_PARTITION = 1
@@ -67,9 +68,13 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 
 
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
-    """Bipartite graph between the m permutation rows and the last part;
-    called once per search attempt, so it only indexes lists."""
+    """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
+    return _auxiliary_graph(partite, family)
+
+
+def _auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
+    """auxiliary_graph of a valid family; run per attempt, so it only indexes lists."""
     position, table = partite._row_table()
     m, maps = partite.m, family.maps
     index = [position[v] for v in maps[0]]
@@ -138,7 +143,7 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    if strategy not in (STRATEGY_PI1, STRATEGY_FULL):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
     best_size = 0
@@ -147,10 +152,10 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     for attempt in range(1, budget + 1):
         rng = Rng(substream(seed, attempt))
         family = _sample_family(partite, rng, strategy)
-        graph = auxiliary_graph(partite, family)
+        graph = _auxiliary_graph(partite, family)
         matching = max_matching(graph)
         best_size = max(best_size, matching.size)
-        if matching.is_perfect():
+        if best_size == partite.m:
             return PiSearch(
                 success=True,
                 family=family,
@@ -221,19 +226,13 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
     alpha = partition_tolerance(eps)
 
     partition_seed = substream(seed, _LABEL_PARTITION)
-    best_partition = None
-    best_deviation = None
-    attempts = 0
-    passed = False
-    for retry in range(cfg.partition_retries):
-        attempts = retry + 1
-        candidate = sample_balanced_partition(hypergraph.n, hypergraph.k,
-                                              substream(partition_seed, retry))
-        deviation = partition_worst_deviation(hypergraph, candidate)
+    candidates = (sample_balanced_partition(hypergraph.n, hypergraph.k, substream(partition_seed, retry))
+                  for retry in range(cfg.partition_retries))
+    best_partition = best_deviation = None
+    for attempts, (candidate, deviation) in enumerate(score_partitions(hypergraph, candidates), 1):
         if best_deviation is None or deviation < best_deviation:
             best_partition, best_deviation = candidate, deviation
         if deviation <= alpha:
-            passed = True
             break
 
     partite = induce_partite(hypergraph, best_partition)
@@ -244,7 +243,7 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
     common = dict(
         alpha=alpha,
         partition_attempts=attempts,
-        partition_passed=passed,
+        partition_passed=best_deviation <= alpha,
         partition_worst_deviation=best_deviation,
         min_transversal_codegree=dstar,
         pi_attempts=search.attempts,

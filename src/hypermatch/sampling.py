@@ -7,9 +7,10 @@ one uniform draw on each, so the output is a pure function of
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -65,30 +66,54 @@ class PartitionReport:
         return not self.violations
 
 
-def _part_counts(hypergraph: Hypergraph, partition: BalancedPartition):
-    if partition.n != hypergraph.n or partition.k != hypergraph.k:
-        raise ValueError("partition does not match the hypergraph")
-    # counts[s, i]: the completions of index key s inside part i
-    k, degrees = hypergraph.k, hypergraph._degrees()
-    groups = np.repeat(np.arange(len(degrees)) * k, degrees)
-    packed = groups + np.asarray(partition.assignment)[hypergraph._completions]
-    counts = np.bincount(packed, minlength=len(degrees) * k).reshape(len(degrees), k)
-    if not np.array_equal(counts.sum(axis=1), degrees):
-        raise AssertionError("parts do not cover all completions")
-    return degrees, counts
+def _part_counts(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]):
+    """(partition, counts) in turn; counts[i, s]: completions of key s in part i.
+
+    Each (partition, part) pair owns a w-bit field, w = bit_length(max
+    co-degree), 64 // w to a uint64 word. No part count exceeds its key's
+    co-degree, so fields never carry, and one gather plus one segmented sum
+    counts a word. Partitions are drawn a block at a time: as many as fill a
+    word, or one whose fields spill over several.
+    """
+    n, k, degrees = hypergraph.n, hypergraph.k, hypergraph._degrees()
+    width = max(1, int(degrees.max(initial=0)).bit_length())
+    per_word = 64 // width
+    shifts = np.arange(per_word, dtype=np.uint64)[:, None] * np.uint64(width)
+    partitions = iter(partitions)
+    while block := list(itertools.islice(partitions, max(1, per_word // k))):
+        if any(partition.n != n or partition.k != k for partition in block):
+            raise ValueError("partition does not match the hypergraph")
+        fields = np.arange(len(block))[:, None] * k + [partition.assignment for partition in block]
+        word_of, slot = np.divmod(fields, per_word)
+        bits = np.uint64(1) << (slot * width).astype(np.uint64)
+        words = []
+        for word in range(word_of.max() + 1):
+            table = np.where(word_of == word, bits, 0).sum(axis=0, dtype=np.uint64)
+            sums = np.add.reduceat(table[hypergraph._completions], hypergraph._offsets[:-1])
+            words.append((sums >> shifts) & np.uint64((1 << width) - 1))
+        counts = np.concatenate(words)[:len(block) * k].astype(np.int64).reshape(len(block), k, len(degrees))
+        if (counts.sum(axis=1) != degrees).any():
+            raise AssertionError("parts do not cover all completions")
+        yield from zip(block, counts)
 
 
 def _deviations(degrees: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
-    return np.abs(counts * k / degrees[:, None] - 1.0)
+    return np.abs(counts * k / degrees - 1.0)
+
+
+def score_partitions(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]
+                     ) -> Iterator[tuple[BalancedPartition, float]]:
+    """(partition, partition_worst_deviation) in turn, in packed blocks."""
+    degrees = hypergraph._degrees()
+    for partition, counts in _part_counts(hypergraph, partitions):
+        yield partition, float(_deviations(degrees, counts, hypergraph.k).max(initial=0.0))
 
 
 def partition_worst_deviation(hypergraph: Hypergraph, partition: BalancedPartition) -> float:
-    """Cheap path of verify_partition for retry loops: the worst relative
-    deviation only, 0.0 when no subset has positive co-degree."""
-    degrees, counts = _part_counts(hypergraph, partition)
-    if not len(degrees):
-        return 0.0
-    return float(_deviations(degrees, counts, hypergraph.k).max())
+    """Cheap path of verify_partition: the worst relative deviation only,
+    0.0 when no subset has positive co-degree. score_partitions scores many
+    partitions in packed blocks."""
+    return next(score_partitions(hypergraph, [partition]))[1]
 
 
 def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha: float) -> PartitionReport:
@@ -100,15 +125,14 @@ def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha
     ``worst_deviation <= alpha``. Violations are listed by subset in
     lexicographic order, then by part.
     """
-    degrees, counts = _part_counts(hypergraph, partition)
+    degrees = hypergraph._degrees()
+    counts = next(_part_counts(hypergraph, [partition]))[1]
     skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(degrees)
-    if not len(degrees):
-        return PartitionReport(alpha, 0.0, (), 0, skipped)
     dev = _deviations(degrees, counts, hypergraph.k)
-    worst = float(dev.max())
-    slots, parts = np.nonzero(dev > alpha)
+    worst = float(dev.max(initial=0.0))
+    slots, parts = np.nonzero(dev.T > alpha)
     subsets = map(tuple, lex_unrank(hypergraph.n, hypergraph.k - 1, hypergraph._keys[slots]).tolist())
-    violations = tuple(zip(subsets, parts.tolist(), counts[slots, parts].tolist(),
+    violations = tuple(zip(subsets, parts.tolist(), counts[parts, slots].tolist(),
                            degrees[slots].tolist()))
     return PartitionReport(alpha, worst, violations, len(degrees), skipped)
 

@@ -37,6 +37,22 @@ def completions_by_enumeration(edges, k):
     return {x: tuple(sorted(vs)) for x, vs in sorted(table.items())}
 
 
+def part_counts_by_recount(edges, k, assignment):
+    """For every (k-1)-subset with a completion, in lexicographic order, the
+    number of its completions in each of the k parts; recounted edge by edge."""
+    table = {}
+    for e in edges:
+        for j in range(k):
+            table.setdefault(e[:j] + e[j + 1:], [0] * k)[assignment[e[j]]] += 1
+    return [counts for _, counts in sorted(table.items())]
+
+
+def worst_deviation_by_recount(edges, k, assignment):
+    """max |c * k / d - 1| over subsets with d > 0 and their part counts c."""
+    rows = part_counts_by_recount(edges, k, assignment)
+    return max((abs(c * k / sum(row) - 1.0) for row in rows for c in row), default=0.0)
+
+
 def codegree_into_by_enumeration(edges, subset, targets):
     s, t = set(subset), set(targets)
     return sum(1 for e in edges if s.issubset(e) and set(e) - s <= t)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,3 +135,53 @@ def test_matching_long_chain_has_no_recursion_limit():
 def test_matching_equals_recursive_reference(m, density, seed):
     g = oracles.random_bipartite(m, density, seed)
     assert max_matching(g).row_to_right == oracles.recursive_hopcroft_karp(g.adjacency)
+
+
+def _sparse_bipartite(m, degree, kind, seed):
+    """Seeded graph with `degree` random neighbours per row. "perfect" adds
+    the pairs of a random permutation; "deficient" draws the neighbours of
+    the first m // 10 + 2 rows from m // 10 right vertices, a planted Hall
+    violation of deficiency 2."""
+    draw = np.random.default_rng(seed)
+    small = m // 10 if kind == "deficient" else 0
+    planted = draw.permutation(m).tolist()
+    rows = []
+    for u in range(m):
+        pool = small if u < small + 2 else m
+        rows.append(draw.choice(pool, min(degree, pool), replace=False).tolist())
+        if kind == "perfect":
+            rows[-1].append(planted[u])
+    return BipartiteGraph(m, rows)
+
+
+@pytest.mark.parametrize("m,degree,kind,seed", [
+    (200, 3, "random", 1), (2000, 1, "random", 2), (2000, 3, "random", 3),
+    (500, 1, "perfect", 4), (2000, 2, "perfect", 5),
+    (300, 4, "deficient", 6), (2000, 3, "deficient", 7),
+])
+def test_matching_size_and_certificate_against_networkx_and_scipy(m, degree, kind, seed):
+    nx = pytest.importorskip("networkx")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    g = _sparse_bipartite(m, degree, kind, seed)
+    size = max_matching(g).size
+
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(2 * m))
+    nxg.add_edges_from((u, m + v) for u, row in enumerate(g.adjacency) for v in row)
+    assert size == len(nx.bipartite.hopcroft_karp_matching(nxg, top_nodes=range(m))) // 2
+
+    rows = [u for u, row in enumerate(g.adjacency) for _ in row]
+    cols = [v for row in g.adjacency for v in row]
+    biadjacency = sparse.csr_array((np.ones(len(rows)), (rows, cols)), shape=(m, m))
+    assert size == int((csgraph.maximum_bipartite_matching(biadjacency, perm_type="column") != -1).sum())
+
+    assert (size == m) == (kind == "perfect")
+    if kind == "deficient":
+        assert size <= m - 2
+    if size < m:
+        cert = hall_certificate(g)
+        side = g.adjacency if cert.side == "left" else g.reverse().adjacency
+        neighborhood = set().union(*(side[u] for u in cert.members))
+        assert len(neighborhood) < len(cert.members)
+        assert len(cert.members) - len(neighborhood) == m - size  # Konig: the deficiency is exact

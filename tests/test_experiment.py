@@ -29,6 +29,17 @@ def test_validation_rejects_bad_configs():
         small_config(v1_size=2).validate()
     with pytest.raises(ValueError):
         small_config(epsilon=-0.1).validate()
+    with pytest.raises(ValueError):
+        small_config(strategy="sideways").validate()
+
+
+def test_strategy_names_come_from_the_pipeline():
+    from hypermatch.cli import _STRATEGIES
+    from hypermatch.pipeline import STRATEGIES
+
+    for name in STRATEGIES:
+        small_config(strategy=name).validate()
+    assert sorted(_STRATEGIES.values()) == sorted(STRATEGIES)
 
 
 def test_threshold_rule():

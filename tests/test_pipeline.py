@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from hypermatch import (
@@ -17,8 +19,11 @@ from hypermatch import (
     max_matching,
     parity_adversary,
     partition_tolerance,
+    sample_balanced_partition,
     sample_hypergraph,
 )
+from hypermatch import pipeline
+from hypermatch.rng import substream
 import oracles
 
 
@@ -231,6 +236,50 @@ def test_pipeline_reports_best_effort_partition():
     assert outcome.partition_attempts == 5
     assert outcome.partition_worst_deviation > partition_tolerance(0.2)
     assert outcome.matched
+
+
+def _one_at_a_time(scored, alpha):
+    """(attempts, passed, best deviation, best partition) of the retry rule
+    over (deviation, candidate) pairs, one candidate at a time."""
+    best = None
+    for attempt, (deviation, candidate) in enumerate(scored, 1):
+        if best is None or deviation < best[0]:
+            best = (deviation, candidate)
+        if deviation <= alpha:
+            return (attempt, True) + best
+    return (len(scored), False) + best
+
+
+@pytest.mark.parametrize("where", ["inside-block", "never", "first"])
+def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
+    h, seed, retries = sample_hypergraph(30, 2, 0.8, 3), 5, 20
+    candidates = [sample_balanced_partition(30, 2, substream(substream(seed, 1), r)) for r in range(retries)]
+    scored = [(oracles.worst_deviation_by_recount(h.edges, 2, c.assignment), c) for c in candidates]
+    best_so_far = list(itertools.accumulate((d for d, _ in scored), min))
+    block = max(1, 64 // h.codegree_extremes()[1].bit_length() // h.k)
+    if where == "inside-block":
+        # a new best strictly inside a block, so later candidates of that
+        # block are scored too; alpha lands between it and every earlier one
+        r = next(r for r in range(1, retries)
+                 if 0 < r % block < block - 1 and best_so_far[r] < best_so_far[r - 1])
+        alpha, attempts = (best_so_far[r] + best_so_far[r - 1]) / 2, r + 1
+    elif where == "never":
+        alpha, attempts = best_so_far[-1] / 2, retries
+    else:
+        alpha, attempts = 0.49, 1
+    eps = alpha / (1 - 2 * alpha)
+    expected = _one_at_a_time(scored, partition_tolerance(eps))
+    assert expected[:2] == (attempts, where != "never")
+    chosen = []
+
+    def induce_and_record(hypergraph, partition):
+        chosen.append(partition)
+        return induce_partite(hypergraph, partition)
+
+    monkeypatch.setattr(pipeline, "induce_partite", induce_and_record)
+    outcome = find_perfect_matching(h, eps, PipelineConfig(partition_retries=retries), seed=seed)
+    assert (outcome.partition_attempts, outcome.partition_passed,
+            outcome.partition_worst_deviation, chosen[0]) == expected
 
 
 def test_hall_equivalence_exhaustive_m2():

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hypermatch import (
@@ -13,6 +14,7 @@ from hypermatch import (
 )
 
 from hypermatch.rng import Rng
+from hypermatch.sampling import _part_counts, score_partitions
 
 import oracles
 
@@ -152,6 +154,50 @@ def test_mismatched_partition_rejected():
     h = complete(6)
     with pytest.raises(ValueError):
         verify_partition(h, sample_balanced_partition(9, 3, 0), 0.5)
+
+
+def _hub_edges(n, k, hub_degree, seed):
+    """Edges X + {v} for X = (0..k-2) and hub_degree vertices v, plus 40
+    random edges that miss vertex 0, so X alone attains the maximum co-degree."""
+    hub = tuple(range(k - 1))
+    spokes = [hub + (v,) for v in range(k - 1, k - 1 + hub_degree)]
+    draw = np.random.default_rng(seed)
+    rest = [draw.choice(np.arange(1, n), k, replace=False).tolist() for _ in range(40)]
+    h = Hypergraph(n, k, spokes + rest)
+    assert h.codegree_extremes()[1] == hub_degree
+    return h
+
+
+PACKING_CASES = {
+    "k2": lambda: sample_hypergraph(12, 2, 0.5, 1),
+    "k3": lambda: sample_hypergraph(15, 3, 0.5, 2),
+    "k4": lambda: sample_hypergraph(12, 4, 0.4, 3),
+    "max-2^4-1": lambda: _hub_edges(18, 3, 15, 4),   # w = 4: the field is full
+    "max-2^4": lambda: _hub_edges(18, 3, 16, 5),     # w = 5
+    "k9-spill": lambda: _hub_edges(144, 9, 136, 6),  # w = 8, k * w = 72 > 64
+    "empty": lambda: Hypergraph(6, 3, []),
+}
+
+
+@pytest.mark.parametrize("case", PACKING_CASES)
+def test_packed_part_counts_match_recount(case):
+    h = PACKING_CASES[case]()
+    n, k = h.n, h.k
+    width = max(1, h.codegree_extremes()[1].bit_length())
+    block = max(1, 64 // width // k)
+    # 13 partitions: a multiple of no block size above 1
+    partitions = [sample_balanced_partition(n, k, s) for s in range(13)]
+    counted = list(_part_counts(h, partitions))
+    assert [p for p, _ in counted] == partitions
+    for p, counts in counted:
+        assert counts.T.tolist() == oracles.part_counts_by_recount(h.edges, k, p.assignment)
+    worst = [oracles.worst_deviation_by_recount(h.edges, k, p.assignment) for p in partitions]
+    assert [d for _, d in score_partitions(h, partitions)] == worst
+    assert [partition_worst_deviation(h, p) for p in partitions] == worst
+    # partitions are drawn one block at a time
+    source = iter(partitions)
+    next(score_partitions(h, source))
+    assert len(list(source)) == max(0, len(partitions) - block)
 
 
 # -- co-degree concentration ----------------------------------------------------
