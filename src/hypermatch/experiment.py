@@ -20,7 +20,7 @@ import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Sequence
 
 from .adversary import greedy_budget_adversary, parity_adversary
@@ -41,14 +41,6 @@ ADVERSARIES = ("none", "parity", "greedy")
 _LABEL_SAMPLE = 1
 _LABEL_ADVERSARY = 2
 _LABEL_PIPELINE = 3
-
-CSV_COLUMNS = (
-    "trial", "seed", "n", "k", "p", "epsilon", "adversary",
-    "edges_before", "edges_after", "residual_min_codegree",
-    "partition_worst_deviation", "delta_star", "pi_attempts",
-    "matched", "verified", "failure_stage", "runtime_ms",
-)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -71,8 +63,8 @@ class ExperimentConfig:
             raise ValueError("need n >= k >= 2 with k dividing n")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("p must lie in [0, 1]")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be positive and finite")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.adversary not in ADVERSARIES:
@@ -135,6 +127,9 @@ class ExperimentRecord:
     runtime_ms: int
 
 
+CSV_COLUMNS = tuple(ExperimentRecord.__dataclass_fields__)
+
+
 @dataclass(frozen=True)
 class TrialOutcome:
     """One trial's record plus the artifacts behind it."""
@@ -148,15 +143,9 @@ class TrialOutcome:
     strategy: str
 
     def to_jsonable(self) -> dict:
-        data = asdict(self.record)
-        data.update(
-            alpha=self.alpha,
-            partition_attempts=self.partition_attempts,
-            partition_passed=self.partition_passed,
-            strategy=self.strategy,
-            matching=[list(e) for e in self.matching] if self.matching else None,
-            certificate=self.certificate.to_jsonable() if self.certificate else None,
-        )
+        """The record's fields next to the artifacts; tuples serialize as JSON lists."""
+        data = asdict(self)
+        data.update(data.pop("record"))
         return data
 
 
@@ -246,9 +235,7 @@ def records_to_csv(recs: Sequence[ExperimentRecord]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for rec in recs:
-        data = asdict(rec)
-        writer.writerow([_cell(data[col]) for col in CSV_COLUMNS])
+    writer.writerows([_cell(value) for value in astuple(rec)] for rec in recs)
     return buffer.getvalue()
 
 
@@ -257,17 +244,16 @@ def write_records_csv(path, recs: Sequence[ExperimentRecord]) -> None:
         fh.write(records_to_csv(recs))
 
 
-_PARSERS = {
-    "trial": int, "seed": int, "n": int, "k": int,
-    "p": float, "epsilon": float, "adversary": str,
-    "edges_before": int, "edges_after": int, "residual_min_codegree": int,
-    "partition_worst_deviation": float, "delta_star": int, "pi_attempts": int,
-    "matched": lambda s: s == "true", "verified": lambda s: s == "true",
-    "failure_stage": str, "runtime_ms": int,
-}
+def _parse_cell(kind: type, cell: str):
+    if kind is bool and cell not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {cell!r}")
+    return cell == "true" if kind is bool else kind(cell)
 
 
 def read_records_csv(path) -> list[ExperimentRecord]:
+    """Records of a records_to_csv file; a malformed cell raises ValueError
+    naming the path, the line and the column."""
+    kinds = typing.get_type_hints(ExperimentRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -277,7 +263,12 @@ def read_records_csv(path) -> list[ExperimentRecord]:
         for row in reader:
             if len(row) != len(CSV_COLUMNS):
                 raise ValueError(f"{path}: row with {len(row)} cells")
-            values = {col: _PARSERS[col](cell) for col, cell in zip(CSV_COLUMNS, row)}
+            values = {}
+            for col, cell in zip(CSV_COLUMNS, row):
+                try:
+                    values[col] = _parse_cell(kinds[col], cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: column {col!r}: {exc}") from None
             out.append(ExperimentRecord(**values))
     return out
 

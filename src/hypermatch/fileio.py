@@ -29,7 +29,10 @@ class FormatError(ValueError):
     """Malformed input file; message carries the path and line number."""
 
 
-def _data_lines(text: str):
+def _data_lines(path: Pathish):
+    """(line number, stripped line) of each data line of the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -44,18 +47,22 @@ def _ints(path: Pathish, lineno: int, line: str) -> list[int]:
         raise FormatError(f"{path}:{lineno}: expected integers, got {line!r}") from exc
 
 
-def read_hypergraph(path: Pathish) -> Hypergraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = _data_lines(text)
+def _read_header(path: Pathish, kind: str, names: str):
+    """(header fields, iterator over the remaining data lines) of a file
+    whose first data line holds the integers named by ``names``."""
+    lines = _data_lines(path)
     try:
         lineno, header = next(lines)
     except StopIteration:
-        raise FormatError(f"{path}: empty hypergraph file") from None
+        raise FormatError(f"{path}: empty {kind} file") from None
     fields = _ints(path, lineno, header)
-    if len(fields) != 2:
-        raise FormatError(f"{path}:{lineno}: header must be 'k n'")
-    k, n = fields
+    if len(fields) != len(names.split()):
+        raise FormatError(f"{path}:{lineno}: header must be '{names}'")
+    return fields, lines
+
+
+def read_hypergraph(path: Pathish) -> Hypergraph:
+    (k, n), lines = _read_header(path, "hypergraph", "k n")
     edges = []
     for lineno, line in lines:
         edge = _ints(path, lineno, line)
@@ -76,17 +83,7 @@ def write_hypergraph(path: Pathish, hypergraph: Hypergraph) -> None:
 
 
 def read_bipartite(path: Pathish) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError(f"{path}: empty bipartite file") from None
-    fields = _ints(path, lineno, header)
-    if len(fields) != 1:
-        raise FormatError(f"{path}:{lineno}: header must be 'm'")
-    m = fields[0]
+    (m,), lines = _read_header(path, "bipartite", "m")
     rows = []
     for lineno, line in lines:
         rows.append([] if line == "-" else _ints(path, lineno, line))
@@ -106,17 +103,7 @@ def write_bipartite(path: Pathish, graph: BipartiteGraph) -> None:
 
 
 def read_extension_matrix(path: Pathish) -> ExtensionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    lines = _data_lines(text)
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise FormatError(f"{path}: empty matrix file") from None
-    fields = _ints(path, lineno, header)
-    if len(fields) != 1:
-        raise FormatError(f"{path}:{lineno}: header must be 'm'")
-    m = fields[0]
+    (m,), lines = _read_header(path, "matrix", "m")
     rows = []
     for lineno, line in lines:
         if len(line) != m or any(ch not in "01" for ch in line):
@@ -134,9 +121,4 @@ def write_matching(path: Pathish, matching) -> None:
 
 
 def read_matching(path: Pathish) -> tuple[Edge, ...]:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    edges = []
-    for lineno, line in _data_lines(text):
-        edges.append(tuple(_ints(path, lineno, line)))
-    return tuple(edges)
+    return tuple(tuple(_ints(path, lineno, line)) for lineno, line in _data_lines(path))

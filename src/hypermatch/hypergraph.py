@@ -309,23 +309,12 @@ class PartiteHypergraph:
         """Minimum over parts i and transversal (k-1)-tuples X of the other
         parts of the number of completions of X inside part i.
 
-        Every edge is transversal, so that is the co-degree of X. The
-        k * m^(k-1) tuples are ranked and looked up as arrays; intended for
-        desk scale.
+        Every edge is transversal, so that is the co-degree of X, and every
+        index key is such a tuple. The minimum is therefore the least key
+        degree when all k * m^(k-1) tuples are keys, and 0 otherwise.
         """
-        keys, offsets = self.hypergraph._keys, self.hypergraph._offsets
-        parts = np.asarray(self.parts, dtype=np.int64)
-        best = math.inf
-        for i in range(self.k):
-            grid = np.meshgrid(*np.delete(parts, i, axis=0), indexing="ij")
-            tuples = np.sort(np.stack(grid, axis=-1).reshape(-1, self.k - 1), axis=1)
-            ranks = _lex_ranks(self.n, list(tuples.T))
-            # lo == hi, so the degree is 0, exactly when the rank is no key
-            lo, hi = np.searchsorted(keys, ranks), np.searchsorted(keys, ranks, "right")
-            best = min(best, int((offsets[hi] - offsets[lo]).min()))
-            if best == 0:
-                break
-        return best
+        h = self.hypergraph
+        return int(h._degrees().min()) if len(h._keys) == self.k * self.m ** (self.k - 1) else 0
 
     def _row_table(self) -> tuple[list[int], list[Edge]]:
         """(position, rows), built on first use: ``position[v]`` is v's

@@ -22,6 +22,7 @@ attempt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -215,11 +216,11 @@ class PipelineOutcome:
 def find_perfect_matching(hypergraph: Hypergraph, eps: float,
                           config: Optional[PipelineConfig] = None,
                           seed: int = 0) -> PipelineOutcome:
-    """Run the full reduction on a hypergraph with k | n and eps > 0."""
+    """Run the full reduction on a hypergraph with k | n and finite eps > 0."""
     if hypergraph.n % hypergraph.k:
         raise ValueError("k must divide n for a perfect matching to exist")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
     cfg = config if config is not None else PipelineConfig()
     if cfg.partition_retries < 1:
         raise ValueError("partition_retries must be at least 1")

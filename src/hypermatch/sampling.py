@@ -125,6 +125,8 @@ def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha
     ``worst_deviation <= alpha``. Violations are listed by subset in
     lexicographic order, then by part.
     """
+    if not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be nonnegative and finite")
     degrees = hypergraph._degrees()
     counts = next(_part_counts(hypergraph, [partition]))[1]
     skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(degrees)

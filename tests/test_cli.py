@@ -150,6 +150,30 @@ def test_experiment_config_wrong_type_is_one_line_error(tmp_path, capsys):
     assert err.strip().splitlines() == ["error: config field 'n' must be int, got '60'"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "inf"],
+    ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "nan"],
+    ["pipeline", "--in", "H", "--out", "OUT", "--seed", "1", "--epsilon", "nan"],
+    ["partition", "--in", "H", "--seed", "1", "--alpha", "nan"],
+])
+def test_non_finite_parameters_are_one_line_errors(tmp_path, capsys, argv):
+    path = tmp_path / "h.txt"
+    write_hypergraph(path, Hypergraph(6, 3, oracles.complete_edges(6, 3)))
+    files = {"H": str(path), "OUT": str(tmp_path / "o.txt")}
+    code, _, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:") and "finite" in err
+
+
+def test_oversized_sample_is_one_line_error(tmp_path, capsys):
+    # C(100000, 3) uniform words need 1.18 PiB: the allocation is refused
+    # outright, before any memory is touched
+    code, _, err = run_cli(capsys, "gen", "--n", "100000", "--k", "3", "--p", "0.001",
+                           "--seed", "1", "--out", str(tmp_path / "h.txt"))
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_experiment_missing_flags(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--n", "6")
     assert code == 1 and "--k" in err

@@ -31,6 +31,10 @@ def test_validation_rejects_bad_configs():
         small_config(epsilon=-0.1).validate()
     with pytest.raises(ValueError):
         small_config(strategy="sideways").validate()
+    for epsilon in (math.inf, math.nan):  # rejected before the threshold is derived from it
+        for threshold in (None, 3):
+            with pytest.raises(ValueError, match="epsilon"):
+                small_config(epsilon=epsilon, greedy_threshold=threshold).validate()
 
 
 def test_strategy_names_come_from_the_pipeline():
@@ -128,6 +132,19 @@ def test_csv_header_and_round_trip(tmp_path):
     path = tmp_path / "runs.csv"
     exp.write_records_csv(path, recs)
     assert exp.read_records_csv(path) == recs
+
+
+@pytest.mark.parametrize("column,cell", [("matched", "banana"), ("verified", "True"),
+                                         ("pi_attempts", "1.5"), ("p", "x")])
+def test_csv_rejects_cells_of_the_wrong_type(tmp_path, column, cell):
+    recs = exp.records(exp.run_experiment(small_config(trials=2)))
+    lines = exp.records_to_csv(recs).splitlines()
+    row = lines[2].split(",")
+    row[exp.CSV_COLUMNS.index(column)] = cell
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(lines[:2] + [",".join(row)]) + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv:3: column '{column}'"):
+        exp.read_records_csv(path)
 
 
 def test_csv_byte_identical_across_runs(tmp_path):

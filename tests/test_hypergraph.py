@@ -249,13 +249,32 @@ def test_min_transversal_codegree_matches_scan(seed):
     assert hp.min_transversal_codegree() == expected
 
 
-@pytest.mark.parametrize("n,k,p", [(8, 2, 0.5), (8, 2, 0.9), (12, 4, 0.7), (16, 4, 0.9)])
+@pytest.mark.parametrize("n,k,p", [(8, 2, 0.5), (8, 2, 0.9), (12, 4, 0.7), (16, 4, 0.9),
+                                   (10, 5, 0.9), (15, 5, 0.95)])
 def test_min_transversal_codegree_matches_scan_other_k(n, k, p):
     h = sample_hypergraph(n, k, p, n * k)
     part = sample_balanced_partition(n, k, 3)
     hp = induce_partite(h, part)
     expected = oracles.min_transversal_codegree_scan(part.parts, hp.hypergraph.edges)
     assert hp.min_transversal_codegree() == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_min_transversal_codegree_planted_complete_partite(k):
+    # delta* is read off the index only when all k * m^(k-1) transversal
+    # tuples are keys: full, one edge short of full, one tuple short of full
+    m = 3
+    part = sample_balanced_partition(k * m, k, 5)
+    full = list(itertools.product(*part.parts))
+    hole = full[0][:-1]
+    tuples = k * m ** (k - 1)
+    cases = [(full, m, tuples), (full[1:], m - 1, tuples),
+             ([e for e in full if e[:-1] != hole], 0, tuples - 1)]
+    for edges, dstar, keys in cases:
+        hp = induce_partite(Hypergraph(k * m, k, edges), part)
+        assert len(hp.hypergraph._keys) == keys
+        assert hp.min_transversal_codegree() == dstar
+        assert oracles.min_transversal_codegree_scan(part.parts, edges) == dstar
 
 
 # -- perfect matchings ----------------------------------------------------------

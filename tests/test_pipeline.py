@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -198,8 +199,9 @@ def test_pipeline_parity_input_fails_with_certificate():
 def test_pipeline_rejects_bad_inputs():
     with pytest.raises(ValueError):
         find_perfect_matching(Hypergraph(7, 3, [(0, 1, 2)]), 0.1)
-    with pytest.raises(ValueError):
-        find_perfect_matching(complete(6), 0.0)
+    for eps in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            find_perfect_matching(complete(6), eps)
     with pytest.raises(ValueError):
         find_perfect_matching(complete(6), 0.1, PipelineConfig(partition_retries=0))
 

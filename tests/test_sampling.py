@@ -156,6 +156,12 @@ def test_mismatched_partition_rejected():
         verify_partition(h, sample_balanced_partition(9, 3, 0), 0.5)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, math.inf, math.nan])
+def test_alpha_must_be_nonnegative_and_finite(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        verify_partition(complete(6), sample_balanced_partition(6, 3, 0), alpha)
+
+
 def _hub_edges(n, k, hub_degree, seed):
     """Edges X + {v} for X = (0..k-2) and hub_degree vertices v, plus 40
     random edges that miss vertex 0, so X alone attains the maximum co-degree."""
