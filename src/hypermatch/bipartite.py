@@ -86,10 +86,10 @@ class BipartiteMatching:
 
     @property
     def size(self) -> int:
-        return sum(1 for v in self.row_to_right if v != -1)
+        return len(self.row_to_right) - self.row_to_right.count(-1)
 
     def is_perfect(self) -> bool:
-        return all(v != -1 for v in self.row_to_right)
+        return self.row_to_right.count(-1) == 0
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.row_to_right) if v != -1]

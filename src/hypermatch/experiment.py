@@ -82,7 +82,10 @@ class ExperimentConfig:
         """Greedy deletion budget: the co-degree hypothesis boundary."""
         if self.greedy_threshold is not None:
             return self.greedy_threshold
-        return math.ceil((0.5 + self.epsilon) * self.n * self.p)
+        bound = (0.5 + self.epsilon) * self.n * self.p
+        if not math.isfinite(bound):
+            raise ValueError(f"epsilon {self.epsilon!r} makes the greedy threshold (1/2 + epsilon)*n*p non-finite")
+        return math.ceil(bound)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)

@@ -12,7 +12,8 @@ c. induces the k-partite restriction H' and records its minimum transversal
 d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
-   auxiliary graph has a perfect matching wins;
+   auxiliary graph has a perfect matching wins. Attempt t draws pi from its
+   own substream, in doubling blocks of attempts (1, 2-3, 4-7, ...);
 e. translates the bipartite matching back to hyperedges and verifies it.
 
 A perfect matching of the auxiliary graph always translates to a perfect
@@ -24,7 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .bipartite import BipartiteGraph, BipartiteMatching, HallCertificate, hall_certificate, max_matching
 from .hypergraph import (
@@ -35,7 +38,7 @@ from .hypergraph import (
     check_perfect_matching,
     induce_partite,
 )
-from .rng import Rng, substream
+from .rng import MASK64, Rng, apply_swaps, substream, substreams, u64_blocks
 from .sampling import sample_balanced_partition, score_partitions
 
 STRATEGY_PI1 = "pi1-only"
@@ -71,17 +74,25 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
-    return _auxiliary_graph(partite, family)
+    position, _ = partite._row_table()
+    return _auxiliary_graph(partite, [[position[v] for v in perm] for perm in family.maps])
 
 
-def _auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
-    """auxiliary_graph of a valid family; run per attempt, so it only indexes lists."""
-    position, table = partite._row_table()
-    m, maps = partite.m, family.maps
-    index = [position[v] for v in maps[0]]
-    for perm in maps[1:]:
-        index = [i * m + position[v] for i, v in zip(index, perm)]
+def _auxiliary_graph(partite: PartiteHypergraph, local: list[list[int]]) -> BipartiteGraph:
+    """auxiliary_graph of the family putting parts[j][local[j][i]] in row i,
+    identity past len(local); run per attempt, so it only indexes lists."""
+    _, table = partite._row_table()
+    m = partite.m
+    index = local[0]
+    for j in range(1, partite.k - 1):
+        index = [i * m + p for i, p in zip(index, local[j] if j < len(local) else range(m))]
     return BipartiteGraph._trusted(m, [table[i] for i in index])
+
+
+def _family_at(partite: PartiteHypergraph, local: list[list[int]]) -> PermutationFamily:
+    """The vertex family of part-local positions as _auxiliary_graph reads them."""
+    maps = tuple(tuple(part[p] for p in perm) for part, perm in zip(partite.parts, local))
+    return PermutationFamily(maps + partite.parts[len(local):-1])
 
 
 def matching_to_edges(partite: PartiteHypergraph, family: PermutationFamily,
@@ -118,17 +129,24 @@ class PiSearch:
     degree_target: Optional[float] = None
 
 
-def _sample_family(partite: PartiteHypergraph, rng: Rng, strategy: str) -> PermutationFamily:
-    parts = partite.parts
-    maps = []
-    for j in range(partite.k - 1):
-        if j == 0 or strategy == STRATEGY_FULL:
-            perm = list(parts[j])
-            rng.shuffle(perm)
-            maps.append(tuple(perm))
-        else:
-            maps.append(parts[j])
-    return PermutationFamily(tuple(maps))
+def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[list[list[int]]]:
+    """Part-local positions of attempts 1..budget, yielded one at a time:
+    attempt t is ``shuffles`` successive ``Rng.permutation(m)`` draws of the
+    stream substream(seed, t). Attempts come in doubling blocks (1, 2-3,
+    4-7, ...) of one key vector, one word block and one modulo each; a row
+    holding a word that ``Rng.below`` may reject is redrawn by ``Rng``."""
+    for first in (1 << b for b in range(budget.bit_length())):
+        keys = substreams(seed, np.arange(first, min(2 * first, budget + 1), dtype=np.uint64))
+        words = u64_blocks(keys, shuffles * (m - 1))
+        rejected = (words > np.uint64(MASK64 - m)).any(axis=1).tolist()
+        swaps = words.reshape(len(keys), shuffles, m - 1)
+        swaps %= np.arange(m, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
+        for key, reject, row in zip(keys.tolist(), rejected, swaps):
+            if reject:
+                rng = Rng(key)
+                yield [rng.permutation(m) for _ in range(shuffles)]
+            else:
+                yield [apply_swaps(list(range(m)), row_swaps) for row_swaps in row.tolist()]
 
 
 def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Optional[float],
@@ -139,8 +157,10 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
 
     Strategy "pi1-only" randomizes the first permutation and keeps the
     others at the identity; "full-random" randomizes all k-1. Attempt t
-    draws from substream (seed, t), so retries are independent and the
-    search is deterministic in (inputs, seed).
+    shuffles each randomized part with the stream substream(seed, t), so
+    retries are independent and the search is deterministic in (inputs,
+    seed). Draws come in blocks (_drawn_positions); only the winner is built
+    as vertices.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -148,34 +168,18 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
         raise ValueError(f"unknown strategy {strategy!r}")
     target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
     best_size = 0
-    last_graph = None
-    last_matching = None
-    for attempt in range(1, budget + 1):
-        rng = Rng(substream(seed, attempt))
-        family = _sample_family(partite, rng, strategy)
-        graph = _auxiliary_graph(partite, family)
+    shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
+    for attempt, local in enumerate(_drawn_positions(partite.m, shuffles, seed, budget), 1):
+        graph = _auxiliary_graph(partite, local)
         matching = max_matching(graph)
         best_size = max(best_size, matching.size)
         if best_size == partite.m:
             return PiSearch(
-                success=True,
-                family=family,
-                matching=matching,
-                attempts=attempt,
-                best_size=best_size,
-                min_degree=graph.min_degree(),
-                degree_target=target,
-            )
-        last_graph, last_matching = graph, matching
+                success=True, family=_family_at(partite, local), matching=matching, attempts=attempt,
+                best_size=best_size, min_degree=graph.min_degree(), degree_target=target)
     return PiSearch(
-        success=False,
-        family=None,
-        matching=None,
-        attempts=budget,
-        best_size=best_size,
-        certificate=hall_certificate(last_graph, last_matching),
-        degree_target=target,
-    )
+        success=False, family=None, matching=None, attempts=budget, best_size=best_size,
+        certificate=hall_certificate(graph, matching), degree_target=target)  # of the last attempt
 
 
 def partition_tolerance(eps: float) -> float:

@@ -10,6 +10,10 @@ Substreams for labeled purposes (trial indices, pipeline stages, retry
 counters) are derived by :func:`substream`, which pushes the (seed, label)
 pair through the same finalizer. Distinct labels give unrelated streams, so
 callers may draw from substreams concurrently without coordination.
+
+:func:`substreams` derives many substream keys at once and :func:`u64_blocks`
+draws words of many streams as one 2-D block, row r equal to stream r's
+scalar draws; ``Rng.u64_block`` is its one-row case.
 """
 
 from __future__ import annotations
@@ -34,6 +38,33 @@ def mix64(x: int) -> int:
 def substream(seed: int, label: int) -> int:
     """Seed of the independent stream identified by (seed, label)."""
     return mix64(mix64(seed) ^ ((label & MASK64) * GOLDEN & MASK64))
+
+
+def substreams(seed: int, labels) -> np.ndarray:
+    """uint64 vector with ``substream(seed, label)`` for each label in [0, 2**64)."""
+    x = np.asarray(labels, dtype=np.uint64) * np.uint64(GOLDEN)
+    x ^= np.uint64(mix64(seed))
+    return _mix64_array(x)
+
+
+def u64_blocks(keys, count: int, start: int = 0) -> np.ndarray:
+    """(len(keys), count) block whose row r holds draws start+1..start+count
+    of the stream keyed by keys[r]: ``Rng(keys[r]).u64_block(count)`` when
+    start is 0."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    # the ticks are not held while mixing: one block-sized temporary, not two
+    words = np.add.outer(np.asarray(keys, dtype=np.uint64),
+                         np.arange(start + 1, start + count + 1, dtype=np.uint64) * np.uint64(GOLDEN))
+    return _mix64_array(words)
+
+
+def apply_swaps(items: list, swaps) -> list:
+    """Fisher-Yates swaps in place, items[i] with items[swaps[len-1-i]] for
+    i = len-1..1; returns items."""
+    for i, j in zip(range(len(items) - 1, 0, -1), swaps):
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:
@@ -65,14 +96,9 @@ class Rng:
         return mix64((self.key + self.counter * GOLDEN) & MASK64)
 
     def u64_block(self, count: int) -> np.ndarray:
-        if count < 0:
-            raise ValueError("count must be nonnegative")
-        start = self.counter
+        words = u64_blocks((self.key,), count, self.counter)[0]
         self.counter += count
-        ticks = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-        ticks *= np.uint64(GOLDEN)
-        ticks += np.uint64(self.key)
-        return _mix64_array(ticks)
+        return words
 
     def uniform(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
@@ -104,8 +130,7 @@ class Rng:
             swaps = [self.below(i + 1) for i in range(size - 1, 0, -1)]
         else:
             swaps = (words % np.arange(size, 1, -1, dtype=np.uint64)).tolist()
-        for i, j in zip(range(size - 1, 0, -1), swaps):
-            items[i], items[j] = items[j], items[i]
+        apply_swaps(items, swaps)
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))

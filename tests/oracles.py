@@ -14,8 +14,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from hypermatch.bipartite import BipartiteGraph
-from hypermatch.rng import Rng
+from hypermatch.bipartite import BipartiteGraph, hall_certificate, max_matching
+from hypermatch.pipeline import STRATEGY_FULL, PermutationFamily, PiSearch
+from hypermatch.rng import Rng, substream
 
 
 def complete_edges(n, k):
@@ -103,6 +104,50 @@ def perfect_matchings_by_permutations(n, k, edges):
 
     rec(tuple(range(n)), 0)
     return count
+
+
+# -- permutation search -----------------------------------------------------
+
+
+def family_one_at_a_time(partite, seed, attempt, strategy):
+    """Attempt's family as a fresh scalar Rng(substream(seed, attempt))
+    shuffles the vertices of each randomized part in turn."""
+    rng = Rng(substream(seed, attempt))
+    maps = []
+    for j, part in enumerate(partite.parts[:-1]):
+        perm = list(part)
+        if j == 0 or strategy == STRATEGY_FULL:
+            rng.shuffle(perm)
+        maps.append(tuple(perm))
+    return PermutationFamily(tuple(maps))
+
+
+def auxiliary_by_definition(partite, family):
+    """Row i is adjacent to position v of the last part exactly when
+    {maps[0][i], ..., maps[k-2][i], last[v]} is an edge."""
+    edge_set = set(partite.hypergraph.edges)
+    last = partite.parts[-1]
+    rows = []
+    for combo in zip(*family.maps):
+        rows.append([v for v, w in enumerate(last) if tuple(sorted(combo + (w,))) in edge_set])
+    return BipartiteGraph(partite.m, rows)
+
+
+def pi_search_one_at_a_time(partite, eps, p, budget, seed, strategy):
+    """The permutation search drawing, building and matching one attempt at
+    a time: the reference for the block draws of find_matching_permutations."""
+    target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
+    best_size = 0
+    for attempt in range(1, budget + 1):
+        family = family_one_at_a_time(partite, seed, attempt, strategy)
+        graph = auxiliary_by_definition(partite, family)
+        matching = max_matching(graph)
+        best_size = max(best_size, matching.size)
+        if best_size == partite.m:
+            return PiSearch(True, family, matching, attempt, best_size,
+                            min_degree=graph.min_degree(), degree_target=target)
+    return PiSearch(False, None, None, budget, best_size,
+                    certificate=hall_certificate(graph, matching), degree_target=target)
 
 
 # -- bipartite ----------------------------------------------------------------

@@ -155,6 +155,8 @@ def test_experiment_config_wrong_type_is_one_line_error(tmp_path, capsys):
     ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "nan"],
     ["pipeline", "--in", "H", "--out", "OUT", "--seed", "1", "--epsilon", "nan"],
     ["partition", "--in", "H", "--seed", "1", "--alpha", "nan"],
+    # finite epsilon whose greedy threshold (1/2 + epsilon)*n*p overflows
+    ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "1e308"],
 ])
 def test_non_finite_parameters_are_one_line_errors(tmp_path, capsys, argv):
     path = tmp_path / "h.txt"

@@ -37,6 +37,16 @@ def test_validation_rejects_bad_configs():
                 small_config(epsilon=epsilon, greedy_threshold=threshold).validate()
 
 
+@pytest.mark.parametrize("p", [1.0, 0.0])
+def test_overflowing_threshold_is_an_epsilon_error(p):
+    # (1/2 + 1e308) * 6 * p is inf at p = 1 and nan at p = 0
+    for adversary in exp.ADVERSARIES:
+        cfg = small_config(p=p, epsilon=1e308, adversary=adversary)
+        with pytest.raises(ValueError, match=r"epsilon 1e\+308"):
+            cfg.validate()
+    small_config(p=p, epsilon=1e308, adversary="greedy", greedy_threshold=3).validate()
+
+
 def test_strategy_names_come_from_the_pipeline():
     from hypermatch.cli import _STRATEGIES
     from hypermatch.pipeline import STRATEGIES
@@ -122,6 +132,12 @@ def test_records_deterministic_and_schedule_independent():
     again = exp.records(exp.run_experiment(cfg))
     threaded = exp.records(exp.run_experiment(cfg, workers=3))
     assert serial == again == threaded
+    # parity trials spend all 40 pi attempts, drawn in blocks 1, 2-3, ..., 32-40
+    cfg = small_config(n=12, p=0.8, trials=4, adversary="parity", pi_budget=40)
+    one, two = exp.run_experiment(cfg, workers=1), exp.run_experiment(cfg, workers=2)
+    assert [o.record.pi_attempts for o in one] == [40] * 4
+    assert exp.records_to_csv(exp.records(one)).encode() == exp.records_to_csv(exp.records(two)).encode()
+    assert exp.outcomes_to_json(cfg, one).encode() == exp.outcomes_to_json(cfg, two).encode()
 
 
 def test_csv_header_and_round_trip(tmp_path):

@@ -24,7 +24,7 @@ from hypermatch import (
     sample_hypergraph,
 )
 from hypermatch import pipeline
-from hypermatch.rng import substream
+from hypermatch.rng import MASK64, substream
 import oracles
 
 
@@ -169,6 +169,88 @@ def test_find_permutations_strategies():
         find_matching_permutations(hp, 0.2, 0.8, 0, 9)
     with pytest.raises(ValueError):
         find_matching_permutations(hp, 0.2, 0.8, 5, 9, "sideways")
+
+
+# (n, k, p, graph seed, partition seed) of the pi-search differential graphs
+DIFFERENTIAL_GRAPHS = [(9, 3, 0.5, 1, 1), (9, 3, 0.5, 9, 9), (9, 3, 0.5, 3, 3),
+                       (8, 4, 0.6, 1, 1), (8, 4, 0.6, 0, 0), (8, 2, 0.45, 0, 0)]
+
+
+def _differential_partite(n, k, p, graph_seed, partition_seed):
+    return induce_partite(sample_hypergraph(n, k, p, graph_seed), sample_balanced_partition(n, k, partition_seed))
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+@pytest.mark.parametrize("graph", DIFFERENTIAL_GRAPHS)
+def test_pi_search_matches_one_at_a_time_loop(graph, strategy):
+    hp = _differential_partite(*graph)
+    for budget in (1, 2, 3, 4, 7, 8, 9, 2000):
+        expected = oracles.pi_search_one_at_a_time(hp, 0.2, graph[2], budget, 7, strategy)
+        assert find_matching_permutations(hp, 0.2, graph[2], budget, 7, strategy) == expected
+
+
+def test_pi_search_differential_covers_block_edges_and_insides():
+    # attempt of the first success (pi1-only, full-random) at pi seed 7 and
+    # budget 40: block edges 1, 2, 3, 4, 7 and 8, inside 13, never (40)
+    firsts = [tuple(oracles.pi_search_one_at_a_time(_differential_partite(*graph), 0.2, graph[2], 40, 7, s).attempts
+                    for s in pipeline.STRATEGIES) for graph in DIFFERENTIAL_GRAPHS]
+    assert firsts == [(8, 13), (7, 8), (2, 3), (2, 4), (1, 3), (40, 40)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_pi_search_parity_graph_matches_one_at_a_time_loop(k, strategy):
+    hp = induce_partite(parity_adversary(complete(4 * k, k)).result, sample_balanced_partition(4 * k, k, 2))
+    for budget in (9, 2000):
+        expected = oracles.pi_search_one_at_a_time(hp, 0.2, 1.0, budget, 3, strategy)
+        assert not expected.success
+        assert find_matching_permutations(hp, 0.2, 1.0, budget, 3, strategy) == expected
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_block_draws_equal_scalar_families(k, strategy):
+    hp = _differential_partite(5 * k, k, 0.5, k, k)
+    shuffles = k - 1 if strategy == STRATEGY_FULL else 1
+    drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, shuffles, 11, 300)]
+    assert drawn == [oracles.family_one_at_a_time(hp, 11, t, strategy) for t in range(1, 301)]
+
+
+# MASK64 - 3 is the least word the fallback rule rejects at m = 4
+@pytest.mark.parametrize("rejected,word", [([2], MASK64 - 3), ([0, 1, 2, 3], MASK64)])
+def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
+    """Rows of the block of attempts 4-7 that hold a word Rng.below may
+    reject are redrawn one at a time, to the same families as before."""
+    hp = induce_partite(parity_adversary(complete(12)).result, sample_balanced_partition(12, 3, 2))
+    assert hp.m == 4
+    block_sizes, redraws = [], []
+    unpatched = pipeline.u64_blocks
+
+    def near_top(keys, count):
+        words = unpatched(keys, count)
+        if len(keys) == 4:
+            words[rejected, -1] = word
+        block_sizes.append(len(keys))
+        return words
+
+    class CountingRng(pipeline.Rng):
+        def __init__(self, key):
+            super().__init__(key)
+            redraws.append(key)
+
+    monkeypatch.setattr(pipeline, "u64_blocks", near_top)
+    monkeypatch.setattr(pipeline, "Rng", CountingRng)
+    for strategy in pipeline.STRATEGIES:
+        block_sizes.clear()
+        redraws.clear()
+        shuffles = 2 if strategy == STRATEGY_FULL else 1
+        drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, shuffles, 4, 9)]
+        assert drawn == [oracles.family_one_at_a_time(hp, 4, t, strategy) for t in range(1, 10)]
+        assert block_sizes == [1, 2, 4, 2]
+        assert redraws == [substream(4, 4 + r) for r in rejected]
+        # the parity graph never succeeds, so the search tries every attempt
+        expected = oracles.pi_search_one_at_a_time(hp, 0.2, 1.0, 9, 4, strategy)
+        assert find_matching_permutations(hp, 0.2, 1.0, 9, 4, strategy) == expected
 
 
 def test_alpha_derivation():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hypermatch.rng import GOLDEN, MASK64, Rng, mix64, substream
+from hypermatch.rng import GOLDEN, MASK64, Rng, mix64, substream, substreams, u64_blocks
 
 # reference SplitMix64 outputs for seed 0 (widely published test vector)
 SPLITMIX64_SEED0 = (
@@ -119,3 +119,31 @@ def test_mix64_bijective_on_samples():
     outputs = [mix64(x) for x in inputs]
     assert len(set(outputs)) == len(inputs)
     assert all(0 <= y <= MASK64 for y in outputs)
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 2**64 + 5])
+def test_substreams_match_substream(seed):
+    labels = list(range(1000)) + [2**63, 2**64 - 1]
+    assert substreams(seed, labels).tolist() == [substream(seed, label) for label in labels]
+    assert substreams(seed, np.arange(3, 9, dtype=np.uint64)).tolist() == [substream(seed, t) for t in range(3, 9)]
+
+
+@pytest.mark.parametrize("count", [0, 1, 19, 257])
+def test_u64_blocks_rows_match_scalar_blocks(count):
+    keys = [0, 1, 123456789, GOLDEN, MASK64 - 1, MASK64]  # MASK64 wraps around on the first tick
+    block = u64_blocks(keys, count)
+    assert block.shape == (len(keys), count) and block.dtype == np.uint64
+    for key, row in zip(keys, block.tolist()):
+        assert row == Rng(key).u64_block(count).tolist()
+    # a later start continues every stream where a scalar reader would be
+    for key, row in zip(keys, u64_blocks(keys, count, start=3).tolist()):
+        rng = Rng(key)
+        rng.u64_block(3)
+        assert row == rng.u64_block(count).tolist()
+
+
+def test_u64_blocks_rejects_negative_count():
+    with pytest.raises(ValueError):
+        u64_blocks([1, 2], -1)
+    with pytest.raises(ValueError):
+        Rng(1).u64_block(-1)
