@@ -5,12 +5,21 @@ ascending neighbor tuple. The matcher is Hopcroft-Karp (layered augmenting
 paths, O(E * sqrt(V))) and is deterministic given the stored adjacency
 order. When no perfect matching exists, a Hall certificate (a set X on one
 side with |N(X)| < |X|) is extracted from alternating-path reachability.
+
+Rows may also be given as int bitmasks (bit v set: adjacent to right vertex
+v). On those, ``_is_perfect`` decides whether a perfect matching exists
+without building one: a greedy first-free matching, then one bitset
+breadth-first augmenting search per unmatched row, stopping at the first row
+that has none. The pi-search decides each attempt with it and runs
+Hopcroft-Karp only on the graph whose matching it reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+from .hypergraph import _as_vertex
 
 
 class BipartiteGraph:
@@ -23,7 +32,7 @@ class BipartiteGraph:
             raise ValueError("m must be nonnegative")
         rows = []
         for row in adjacency:
-            nbrs = tuple(sorted(set(int(v) for v in row)))
+            nbrs = tuple(sorted(set(_as_vertex(v) for v in row)))
             if nbrs and (nbrs[0] < 0 or nbrs[-1] >= m):
                 raise ValueError(f"neighbor outside [0, {m}) in row {row!r}")
             rows.append(nbrs)
@@ -38,6 +47,12 @@ class BipartiteGraph:
         obj = object.__new__(cls)
         obj.m, obj.adjacency = m, tuple(rows)
         return obj
+
+    @classmethod
+    def _from_masks(cls, masks: Sequence[int]) -> "BipartiteGraph":
+        """Internal: row i adjacent to v exactly when bit v of masks[i] is set,
+        every bit below len(masks)."""
+        return cls._trusted(len(masks), [_members(mask) for mask in masks])
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency)
@@ -76,6 +91,67 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(m={self.m}, edges={self.edge_count()})"
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """Ascending positions of the set bits of a nonnegative int."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
+def _is_perfect(masks: Sequence[int]) -> bool:
+    """Whether the graph with row bitmasks ``masks`` (every bit below
+    len(masks)) has a perfect matching.
+
+    When an unmatched row has no augmenting path, the rows its alternating
+    paths reach outnumber their neighbors by one, a Hall violation, so the
+    first such row decides False. Masks are Python ints: no word size is
+    assumed.
+    """
+    m = len(masks)
+    free = (1 << m) - 1  # right vertices not yet matched
+    match_l, match_r = [-1] * m, [-1] * m
+    unmatched = []
+    for u, mask in enumerate(masks):
+        avail = mask & free
+        if avail:
+            v = (avail & -avail).bit_length() - 1
+            match_l[u], match_r[v] = v, u
+            free ^= 1 << v
+        elif mask:
+            unmatched.append(u)
+        else:
+            return False
+    for u in unmatched:
+        # breadth-first over alternating paths from u; parent[v] is the row that reached v
+        parent, seen, frontier, v = {}, 0, [u], -1
+        while frontier and v == -1:
+            layer = []
+            for r in frontier:
+                new = masks[r] & ~seen
+                hit = new & free
+                if hit:
+                    v = (hit & -hit).bit_length() - 1
+                    break
+                seen |= new
+                while new:
+                    low = new & -new
+                    w = low.bit_length() - 1
+                    parent[w] = r
+                    layer.append(match_r[w])
+                    new ^= low
+            frontier = layer
+        if v == -1:
+            return False
+        free ^= 1 << v
+        while r != -1:  # flip the path from r back to u, its one unmatched row
+            match_l[r], match_r[v], v = v, r, match_l[r]
+            r = parent.get(v, -1)
+    return True
 
 
 @dataclass(frozen=True)

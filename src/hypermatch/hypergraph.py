@@ -316,11 +316,11 @@ class PartiteHypergraph:
         h = self.hypergraph
         return int(h._degrees().min()) if len(h._keys) == self.k * self.m ** (self.k - 1) else 0
 
-    def _row_table(self) -> tuple[list[int], list[Edge]]:
-        """(position, rows), built on first use: ``position[v]`` is v's
-        index inside its part, and ``rows[sum_j p_j * m^(k-2-j)]`` lists the
-        ascending last-part positions of the completions of the transversal
-        tuple with positions p_0..p_{k-2} in parts 0..k-2."""
+    def _row_table(self) -> tuple[list[int], list[int]]:
+        """(position, masks), built on first use: ``position[v]`` is v's
+        index inside its part, and bit v of ``masks[sum_j p_j * m^(k-2-j)]``
+        is set exactly when last-part position v completes the transversal
+        tuple with positions p_0..p_{k-2} in parts 0..k-2 to an edge."""
         if self._rows is None:
             m, k = self.m, self.k
             position = np.empty(self.n, dtype=np.int64)
@@ -332,11 +332,17 @@ class PartiteHypergraph:
             index = np.zeros(len(edges), dtype=np.int64)
             for j in range(k - 1):
                 index = index * m + local[:, j]
-            keyed = np.sort(index * m + local[:, k - 1])
-            ends = np.cumsum(np.bincount(keyed // m, minlength=m ** (k - 1))).tolist()
-            right = (keyed % m).tolist()
-            rows = [tuple(right[start:end]) for start, end in zip([0] + ends[:-1], ends)]
-            self._rows = (position.tolist(), rows)
+            # each row as `words` little-endian uint64s; edges are distinct, so
+            # the bits added into one byte are too, and their sum is their OR
+            words = (m + 63) // 64
+            right = local[:, k - 1]
+            packed = np.zeros(m ** (k - 1) * 8 * words, dtype=np.uint8)
+            np.add.at(packed, index * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
+            columns = packed.view("<u8").reshape(-1, words).T
+            masks = columns[0].tolist()
+            for w in range(1, words):
+                masks = [mask | high << 64 * w for mask, high in zip(masks, columns[w].tolist())]
+            self._rows = (position.tolist(), masks)
         return self._rows
 
     def __repr__(self) -> str:

@@ -13,7 +13,11 @@ d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
    auxiliary graph has a perfect matching wins. Attempt t draws pi from its
-   own substream, in doubling blocks of attempts (1, 2-3, 4-7, ...);
+   own substream, in doubling blocks of attempts (1, 2-3, 4-7, ..., at most
+   1,024 each). Rows are bitmasks, and each attempt is decided by an exact
+   bitset perfect-or-not test; Hopcroft-Karp runs only on the winner, whose
+   matching is translated, and on the last attempt of a failed search,
+   whose maximum matching yields the Hall certificate;
 e. translates the bipartite matching back to hyperedges and verifies it.
 
 A perfect matching of the auxiliary graph always translates to a perfect
@@ -29,7 +33,14 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .bipartite import BipartiteGraph, BipartiteMatching, HallCertificate, hall_certificate, max_matching
+from .bipartite import (
+    BipartiteGraph,
+    BipartiteMatching,
+    HallCertificate,
+    _is_perfect,
+    hall_certificate,
+    max_matching,
+)
 from .hypergraph import (
     Edge,
     Hypergraph,
@@ -48,6 +59,9 @@ STRATEGIES = (STRATEGY_PI1, STRATEGY_FULL)
 # substream labels inside one pipeline run
 _LABEL_PARTITION = 1
 _LABEL_PI = 2
+
+# attempts per block of family draws: bounds the draw's memory for any budget
+_MAX_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -75,22 +89,24 @@ def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> Bi
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
     position, _ = partite._row_table()
-    return _auxiliary_graph(partite, [[position[v] for v in perm] for perm in family.maps])
+    return BipartiteGraph._from_masks(
+        _auxiliary_masks(partite, [[position[v] for v in perm] for perm in family.maps]))
 
 
-def _auxiliary_graph(partite: PartiteHypergraph, local: list[list[int]]) -> BipartiteGraph:
-    """auxiliary_graph of the family putting parts[j][local[j][i]] in row i,
-    identity past len(local); run per attempt, so it only indexes lists."""
+def _auxiliary_masks(partite: PartiteHypergraph, local: list[list[int]]) -> list[int]:
+    """Row bitmasks of the auxiliary graph of the family putting
+    parts[j][local[j][i]] in row i, identity past len(local); run per
+    attempt, so it only indexes lists."""
     _, table = partite._row_table()
     m = partite.m
     index = local[0]
     for j in range(1, partite.k - 1):
         index = [i * m + p for i, p in zip(index, local[j] if j < len(local) else range(m))]
-    return BipartiteGraph._trusted(m, [table[i] for i in index])
+    return [table[i] for i in index]
 
 
 def _family_at(partite: PartiteHypergraph, local: list[list[int]]) -> PermutationFamily:
-    """The vertex family of part-local positions as _auxiliary_graph reads them."""
+    """The vertex family of part-local positions as _auxiliary_masks reads them."""
     maps = tuple(tuple(part[p] for p in perm) for part, perm in zip(partite.parts, local))
     return PermutationFamily(maps + partite.parts[len(local):-1])
 
@@ -123,7 +139,6 @@ class PiSearch:
     family: Optional[PermutationFamily]
     matching: Optional[BipartiteMatching]
     attempts: int
-    best_size: int
     certificate: Optional[HallCertificate] = None
     min_degree: Optional[int] = None
     degree_target: Optional[float] = None
@@ -133,10 +148,13 @@ def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[
     """Part-local positions of attempts 1..budget, yielded one at a time:
     attempt t is ``shuffles`` successive ``Rng.permutation(m)`` draws of the
     stream substream(seed, t). Attempts come in doubling blocks (1, 2-3,
-    4-7, ...) of one key vector, one word block and one modulo each; a row
-    holding a word that ``Rng.below`` may reject is redrawn by ``Rng``."""
-    for first in (1 << b for b in range(budget.bit_length())):
-        keys = substreams(seed, np.arange(first, min(2 * first, budget + 1), dtype=np.uint64))
+    4-7, ...) of at most _MAX_BLOCK, each one key vector, one word block and
+    one modulo; a row holding a word that ``Rng.below`` may reject is
+    redrawn by ``Rng``."""
+    first = 1
+    while first <= budget:
+        stop = min(2 * first, first + _MAX_BLOCK, budget + 1)
+        keys = substreams(seed, np.arange(first, stop, dtype=np.uint64))
         words = u64_blocks(keys, shuffles * (m - 1))
         rejected = (words > np.uint64(MASK64 - m)).any(axis=1).tolist()
         swaps = words.reshape(len(keys), shuffles, m - 1)
@@ -147,6 +165,7 @@ def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[
                 yield [rng.permutation(m) for _ in range(shuffles)]
             else:
                 yield [apply_swaps(list(range(m)), row_swaps) for row_swaps in row.tolist()]
+        first = stop
 
 
 def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Optional[float],
@@ -159,27 +178,28 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     others at the identity; "full-random" randomizes all k-1. Attempt t
     shuffles each randomized part with the stream substream(seed, t), so
     retries are independent and the search is deterministic in (inputs,
-    seed). Draws come in blocks (_drawn_positions); only the winner is built
-    as vertices.
+    seed). Draws come in blocks (_drawn_positions), and each attempt is
+    decided on row bitmasks by bipartite._is_perfect. Only the winner is
+    built as vertices; Hopcroft-Karp runs once, on the winner or on the last
+    attempt of a failed search.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
-    best_size = 0
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
     for attempt, local in enumerate(_drawn_positions(partite.m, shuffles, seed, budget), 1):
-        graph = _auxiliary_graph(partite, local)
-        matching = max_matching(graph)
-        best_size = max(best_size, matching.size)
-        if best_size == partite.m:
+        masks = _auxiliary_masks(partite, local)
+        if _is_perfect(masks):
+            graph = BipartiteGraph._from_masks(masks)
             return PiSearch(
-                success=True, family=_family_at(partite, local), matching=matching, attempts=attempt,
-                best_size=best_size, min_degree=graph.min_degree(), degree_target=target)
+                success=True, family=_family_at(partite, local), matching=max_matching(graph),
+                attempts=attempt, min_degree=graph.min_degree(), degree_target=target)
+    graph = BipartiteGraph._from_masks(masks)  # of the last attempt
     return PiSearch(
-        success=False, family=None, matching=None, attempts=budget, best_size=best_size,
-        certificate=hall_certificate(graph, matching), degree_target=target)  # of the last attempt
+        success=False, family=None, matching=None, attempts=budget,
+        certificate=hall_certificate(graph), degree_target=target)
 
 
 def partition_tolerance(eps: float) -> float:

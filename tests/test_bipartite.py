@@ -1,9 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypermatch import BipartiteGraph, hall_certificate, max_matching
+from hypermatch import (
+    BipartiteGraph,
+    hall_certificate,
+    induce_partite,
+    max_matching,
+    parity_adversary,
+    pipeline,
+    sample_balanced_partition,
+    sample_hypergraph,
+)
+from hypermatch.bipartite import _is_perfect
 from hypermatch.rng import substream
 
 import oracles
@@ -22,6 +34,18 @@ def test_graph_rejects_bad_shape():
         BipartiteGraph(2, [[0]])
     with pytest.raises(ValueError):
         BipartiteGraph(2, [[0], [2]])
+
+
+@pytest.mark.parametrize("row", [[1.9], [0.2], ["1"]])
+def test_graph_rejects_non_integer_ids(row):
+    with pytest.raises(TypeError):
+        BipartiteGraph(2, [row, [0]])
+
+
+def test_graph_accepts_numpy_ints_and_bools():
+    g = BipartiteGraph(2, [[np.int64(1), np.uint8(0)], [True]])
+    assert g.adjacency == ((0, 1), (1,))
+    assert all(type(v) is int for row in g.adjacency for v in row)
 
 
 def test_matching_complete():
@@ -185,3 +209,67 @@ def test_matching_size_and_certificate_against_networkx_and_scipy(m, degree, kin
         neighborhood = set().union(*(side[u] for u in cert.members))
         assert len(neighborhood) < len(cert.members)
         assert len(cert.members) - len(neighborhood) == m - size  # Konig: the deficiency is exact
+
+
+# -- the bitset perfect-or-not test ------------------------------------------------
+
+
+def _masks(graph):
+    return [sum(1 << v for v in row) for row in graph.adjacency]
+
+
+def _deficient_bipartite(m, degree, seed):
+    """Seeded graph of Hall deficiency exactly 1: rows 0..s-1 (s = m // 3 + 1)
+    see only right vertices 0..s-2, and a planted matching covers every row
+    but row 0, so the maximum matching has size m - 1."""
+    draw = np.random.default_rng(seed)
+    s = m // 3 + 1
+    rest = (s - 1 + draw.permutation(m - s + 1)).tolist()
+    rows = []
+    for u in range(m):
+        if u < s:
+            rows.append(draw.choice(s - 1, min(degree, s - 1), replace=False).tolist() + ([u - 1] if u else []))
+        else:
+            rows.append(draw.choice(m, min(degree, m), replace=False).tolist() + [rest[u - s]])
+    return BipartiteGraph(m, rows)
+
+
+def _assert_decision_agrees(graph):
+    masks = _masks(graph)
+    assert BipartiteGraph._from_masks(masks) == graph
+    perfect = max_matching(graph).is_perfect()
+    assert _is_perfect(masks) == perfect
+    return perfect
+
+
+@pytest.mark.parametrize("m", [1, 2, 63, 64, 65, 80, 300])
+def test_bitset_decision_equals_hopcroft_karp(m):
+    outcomes = set()
+    for seed in range(3):
+        for i, scale in enumerate((0.5, 1.0, 2.0)):  # around the ln(m) / m threshold of a perfect matching
+            density = min(1.0, scale * max(1.0, math.log(m)) / m)
+            outcomes.add(_assert_decision_agrees(oracles.random_bipartite(m, density, substream(m, 3 * seed + i))))
+        assert _assert_decision_agrees(_sparse_bipartite(m, 2, "perfect", seed))
+        deficient = _deficient_bipartite(m, 3, seed)
+        assert max_matching(deficient).size == m - 1
+        assert not _assert_decision_agrees(deficient)
+    if m > 2:
+        assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [1, 2, 65])
+def test_bitset_decision_empty_row_and_column(m):
+    full = (1 << m) - 1
+    assert _is_perfect([full] * m)
+    assert not _is_perfect([full] * (m - 1) + [0])  # last row empty
+    assert not _is_perfect([full >> 1] * m)  # last column empty
+    assert _is_perfect([])
+
+
+@pytest.mark.parametrize("n,k", [(60, 3), (130, 2)])
+def test_bitset_decision_on_parity_auxiliary_graphs(n, k):
+    """Parity residuals never match; their auxiliary graphs mostly miss by one row."""
+    h = parity_adversary(sample_hypergraph(n, k, 0.5, n)).result
+    hp = induce_partite(h, sample_balanced_partition(n, k, 1))
+    for local in pipeline._drawn_positions(hp.m, k - 1, 5, 150):
+        _assert_decision_agrees(BipartiteGraph._from_masks(pipeline._auxiliary_masks(hp, local)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import pytest
 
@@ -23,7 +24,7 @@ from hypermatch import (
     sample_balanced_partition,
     sample_hypergraph,
 )
-from hypermatch import pipeline
+from hypermatch import bipartite, pipeline
 from hypermatch.rng import MASK64, substream
 import oracles
 
@@ -83,7 +84,7 @@ def test_auxiliary_edge_count_identity_family(seed):
     assert b.edge_count() == expected
 
 
-@pytest.mark.parametrize("n,k", [(12, 3), (12, 4), (8, 2)])
+@pytest.mark.parametrize("n,k", [(12, 3), (12, 4), (8, 2), (130, 2), (256, 2)])
 def test_auxiliary_rows_match_definition(n, k):
     h = sample_hypergraph(n, k, 0.6, n + k)
     m = n // k
@@ -214,6 +215,49 @@ def test_block_draws_equal_scalar_families(k, strategy):
     shuffles = k - 1 if strategy == STRATEGY_FULL else 1
     drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, shuffles, 11, 300)]
     assert drawn == [oracles.family_one_at_a_time(hp, 11, t, strategy) for t in range(1, 301)]
+
+
+def test_block_draws_equal_scalar_families_across_capped_blocks():
+    """Blocks stop doubling at 1,024 attempts: 512-1023, 1024-2047, 2048-3071."""
+    hp = _differential_partite(6, 3, 0.5, 1, 1)
+    drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, 2, 5, 2100)]
+    for t in itertools.chain(range(1000, 1050), range(2030, 2101)):
+        assert drawn[t - 1] == oracles.family_one_at_a_time(hp, 5, t, STRATEGY_FULL)
+
+
+def test_block_draw_memory_does_not_grow_with_budget():
+    def peak(budget):
+        tracemalloc.start()
+        for _ in pipeline._drawn_positions(20, 2, 3, budget):
+            pass
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        return size
+
+    assert peak(2**16) < 2 * peak(2000)
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_pi_search_runs_hopcroft_karp_once(monkeypatch, strategy):
+    """Attempts are decided on bitmasks; Hopcroft-Karp runs only on the
+    winner, or on the last attempt of a failed search."""
+    calls = []
+
+    def counting(graph):
+        calls.append(graph)
+        return max_matching(graph)
+
+    monkeypatch.setattr(pipeline, "max_matching", counting)
+    monkeypatch.setattr(bipartite, "max_matching", counting)  # hall_certificate's default
+    failing = induce_partite(parity_adversary(complete(12)).result, sample_balanced_partition(12, 3, 2))
+    for budget in (1, 9, 300):
+        calls.clear()
+        assert not find_matching_permutations(failing, 0.2, 1.0, budget, 4, strategy).success
+        assert len(calls) == 1
+    graph = DIFFERENTIAL_GRAPHS[0]
+    calls.clear()
+    search = find_matching_permutations(_differential_partite(*graph), 0.2, graph[2], 40, 7, strategy)
+    assert search.success and search.attempts > 1 and len(calls) == 1
 
 
 # MASK64 - 3 is the least word the fallback rule rejects at m = 4
