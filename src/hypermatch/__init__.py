@@ -33,7 +33,6 @@ from .pipeline import (
     auxiliary_graph,
     find_matching_permutations,
     find_perfect_matching,
-    identity_family,
     matching_to_edges,
     partition_tolerance,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "find_perfect_matching",
     "greedy_budget_adversary",
     "hall_certificate",
-    "identity_family",
     "induce_partite",
     "is_pseudorandom",
     "matching_to_edges",

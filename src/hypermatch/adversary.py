@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _as_vertex
 from .rng import Rng
 
 
@@ -33,7 +33,7 @@ class AdversaryOutcome:
     def to_jsonable(self) -> dict:
         return {
             "mode": self.mode,
-            "params": {k: list(v) if isinstance(v, tuple) else v for k, v in self.params.items()},
+            "params": self.params,
             "deleted": self.deleted,
             "edges_after": self.result.edge_count(),
             "residual_min_codegree": self.residual_min_codegree,
@@ -57,7 +57,7 @@ def parity_adversary(hypergraph: Hypergraph, v1: Optional[Iterable[int]] = None)
     if v1 is None:
         chosen = default_odd_v1(hypergraph.n)
     else:
-        chosen = tuple(sorted(set(int(v) for v in v1)))
+        chosen = tuple(sorted(set(_as_vertex(v) for v in v1)))
         if any(v < 0 or v >= hypergraph.n for v in chosen):
             raise ValueError("v1 has a vertex outside [0, n)")
     if len(chosen) % 2 == 0:

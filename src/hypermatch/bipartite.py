@@ -167,9 +167,6 @@ class BipartiteMatching:
     def is_perfect(self) -> bool:
         return self.row_to_right.count(-1) == 0
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in enumerate(self.row_to_right) if v != -1]
-
 
 def max_matching(graph: BipartiteGraph) -> BipartiteMatching:
     """Maximum-cardinality matching via Hopcroft-Karp.
@@ -248,21 +245,14 @@ class HallCertificate:
     def deficiency(self) -> int:
         return len(self.members) - len(self.neighborhood)
 
-    def to_jsonable(self) -> dict:
-        return {
-            "side": self.side,
-            "members": list(self.members),
-            "neighborhood": list(self.neighborhood),
-        }
-
 
 def _reachable_certificate(adj: Sequence[Sequence[int]], match_l: Sequence[int],
                            match_r: Sequence[int]) -> tuple[set[int], set[int]]:
     """Alternating-path reachability from unmatched left vertices.
 
-    Returns (X, N(X)). Every right vertex seen must be matched (an
-    unmatched one would complete an augmenting path, contradicting matching
-    maximality), and its partner joins X.
+    Returns (X, N(X)). Every right vertex seen must be matched, and its
+    partner joins X; an unmatched one completes an augmenting path, so the
+    matching is not maximum and ValueError is raised.
     """
     members = {u for u in range(len(match_l)) if match_l[u] == -1}
     frontier = list(members)
@@ -275,7 +265,7 @@ def _reachable_certificate(adj: Sequence[Sequence[int]], match_l: Sequence[int],
             neighborhood.add(v)
             w = match_r[v]
             if w == -1:
-                raise AssertionError("augmenting path found beside a maximum matching")
+                raise ValueError("matching is not maximum: an augmenting path exists")
             if w not in members:
                 members.add(w)
                 frontier.append(w)
@@ -286,18 +276,23 @@ def hall_certificate(graph: BipartiteGraph, matching: Optional[BipartiteMatching
     """Extract a Hall violator from a graph without a perfect matching.
 
     Both sides are searched; the smaller certificate wins (left on ties).
-    Raises ValueError when the graph has a perfect matching.
+    Raises ValueError when the graph has a perfect matching, or when a
+    supplied matching is not a maximum matching of the graph.
     """
     if matching is None:
         matching = max_matching(graph)
-    if matching.is_perfect():
-        raise ValueError("graph has a perfect matching, no certificate exists")
     m = graph.m
     match_l = list(matching.row_to_right)
+    if len(match_l) != m:
+        raise ValueError(f"not a matching of the graph: {len(match_l)} rows, expected {m}")
     match_r = [-1] * m
     for u, v in enumerate(match_l):
         if v != -1:
+            if v not in graph.adjacency[u] or match_r[v] != -1:
+                raise ValueError(f"not a matching of the graph: row {u} -> {v}")
             match_r[v] = u
+    if matching.is_perfect():
+        raise ValueError("graph has a perfect matching, no certificate exists")
     left_x, left_n = _reachable_certificate(graph.adjacency, match_l, match_r)
     right_adj = graph.reverse().adjacency
     right_x, right_n = _reachable_certificate(right_adj, match_r, match_l)

@@ -44,10 +44,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_partition(args) -> int:
     h = read_hypergraph(getattr(args, "in"))
-    k = args.k if args.k is not None else h.k
-    if k != h.k:
-        raise ValueError("parts count must equal the uniformity for the split check")
-    partition = sample_balanced_partition(h.n, k, args.seed)
+    partition = sample_balanced_partition(h.n, h.k, args.seed)
     report = verify_partition(h, partition, args.alpha)
     _emit({
         "alpha": report.alpha,
@@ -107,7 +104,7 @@ def _cmd_pipeline(args) -> int:
         _emit(summary)
         return 0
     failure = dict(summary)
-    failure["certificate"] = outcome.certificate.to_jsonable() if outcome.certificate else None
+    failure["certificate"] = asdict(outcome.certificate) if outcome.certificate else None
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(failure, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -125,7 +122,7 @@ def _cmd_match(args) -> int:
         "rows": list(matching.row_to_right),
     }
     if not matching.is_perfect() and graph.m > 0:
-        payload["certificate"] = hall_certificate(graph, matching).to_jsonable()
+        payload["certificate"] = asdict(hall_certificate(graph, matching))
     _emit(payload)
     return 0
 
@@ -190,7 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     part = sub.add_parser("partition", help="sample a balanced partition and report the co-degree split")
     part.add_argument("--in", required=True)
-    part.add_argument("--k", type=int, default=None)
     part.add_argument("--seed", type=int, required=True)
     part.add_argument("--alpha", type=float, required=True)
     part.set_defaults(handler=_cmd_partition)
@@ -208,8 +204,10 @@ def build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("--in", required=True)
     pipe.add_argument("--epsilon", type=float, required=True)
     pipe.add_argument("--seed", type=int, required=True)
-    pipe.add_argument("--partition-retries", dest="partition_retries", type=int, default=20)
-    pipe.add_argument("--pi-budget", dest="pi_budget", type=int, default=100)
+    pipe.add_argument("--partition-retries", dest="partition_retries", type=int,
+                      default=PipelineConfig.partition_retries)
+    pipe.add_argument("--pi-budget", dest="pi_budget", type=int,
+                      default=PipelineConfig.pi_budget)
     pipe.add_argument("--strategy", choices=tuple(_STRATEGIES), default="pi1")
     pipe.add_argument("--out", required=True)
     pipe.set_defaults(handler=_cmd_pipeline)
@@ -237,8 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--adversary", choices=exp.ADVERSARIES, default="none")
     run.add_argument("--threshold", type=int, default=None)
     run.add_argument("--v1-size", dest="v1_size", type=int, default=None)
-    run.add_argument("--partition-retries", dest="partition_retries", type=int, default=20)
-    run.add_argument("--pi-budget", dest="pi_budget", type=int, default=100)
+    run.add_argument("--partition-retries", dest="partition_retries", type=int,
+                      default=PipelineConfig.partition_retries)
+    run.add_argument("--pi-budget", dest="pi_budget", type=int,
+                      default=PipelineConfig.pi_budget)
     run.add_argument("--strategy", choices=tuple(_STRATEGIES), default="pi1")
     run.add_argument("--timing", action="store_true")
     run.add_argument("--workers", type=int, default=1)

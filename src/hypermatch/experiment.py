@@ -20,14 +20,13 @@ import math
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import MISSING, asdict, astuple, dataclass
 from typing import Optional, Sequence
 
 from .adversary import greedy_budget_adversary, parity_adversary
 from .hypergraph import Edge, Hypergraph
 from .pipeline import (
     STRATEGIES,
-    STRATEGY_PI1,
     HallCertificate,
     PipelineConfig,
     find_perfect_matching,
@@ -53,9 +52,9 @@ class ExperimentConfig:
     adversary: str = "none"
     greedy_threshold: Optional[int] = None  # None: ceil((1/2 + epsilon) * n * p)
     v1_size: Optional[int] = None           # None: default odd prefix
-    partition_retries: int = 20
-    pi_budget: int = 100
-    strategy: str = STRATEGY_PI1
+    partition_retries: int = PipelineConfig.partition_retries
+    pi_budget: int = PipelineConfig.pi_budget
+    strategy: str = PipelineConfig.strategy
     record_timing: bool = False
 
     def validate(self) -> None:
@@ -92,19 +91,23 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Parse a config; unknown or wrongly typed fields raise ValueError."""
+        """Parse a config; unknown, missing or wrongly typed fields raise ValueError."""
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
+        if missing:
+            raise ValueError(f"missing config fields: {missing}")
         hints = typing.get_type_hints(cls)
         for name, value in data.items():
             allowed = typing.get_args(hints[name]) or (hints[name],)
             allowed += (int,) if float in allowed else ()
             if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
-                expected = cls.__dataclass_fields__[name].type
+                expected = fields[name].type
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
         return cls(**data)
 

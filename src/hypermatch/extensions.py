@@ -47,15 +47,6 @@ class ExtensionMatrix:
         self.row_sums = tuple(int(s) for s in arr.sum(axis=1))
         self.total = int(arr.sum())
 
-    @classmethod
-    def from_rows(cls, m: int, rows) -> "ExtensionMatrix":
-        """Build from per-slot sets of completing first-part vertices."""
-        table = np.zeros((m, m), dtype=bool)
-        for i, row in enumerate(rows):
-            for u in row:
-                table[i, u] = True
-        return cls(table)
-
     def mean_degree(self) -> Fraction:
         """Expected degree under a uniform permutation: total / m."""
         return Fraction(self.total, self.m)

@@ -164,15 +164,6 @@ class Hypergraph:
         """Number of edges containing the given (k-1)-subset."""
         return len(self.completions(subset))
 
-    def codegree_into(self, subset: Iterable[int], targets: Iterable[int]) -> int:
-        """Number of edges e with subset inside e and e minus subset inside targets.
-
-        ``targets`` may intersect the subset; completions never lie in the
-        subset, so the overlap is irrelevant.
-        """
-        allowed = frozenset(_as_vertex(v) for v in targets)
-        return sum(1 for v in self.completions(subset) if v in allowed)
-
     def _degrees(self) -> np.ndarray:  # co-degree of each index key
         return np.diff(self._offsets)
 
@@ -244,9 +235,6 @@ class BalancedPartition:
     @property
     def m(self) -> int:
         return len(self.parts[0])
-
-    def part_of(self, v: int) -> int:
-        return self.assignment[v]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BalancedPartition):

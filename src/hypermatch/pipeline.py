@@ -72,10 +72,6 @@ class PermutationFamily:
     maps: tuple[tuple[int, ...], ...]
 
 
-def identity_family(partite: PartiteHypergraph) -> PermutationFamily:
-    return PermutationFamily(partite.parts[:-1])
-
-
 def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> None:
     maps = family.maps
     if len(maps) != partite.k - 1:

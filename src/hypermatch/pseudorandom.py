@@ -61,18 +61,6 @@ class PseudorandomVerdict:
     witness_side: Optional[str]
     mode: str
 
-    def to_jsonable(self) -> dict:
-        witness = None
-        if self.witness is not None:
-            witness = [list(w) if isinstance(w, tuple) else w for w in self.witness]
-        return {
-            "pseudorandom": self.pseudorandom,
-            "failed_property": self.failed_property,
-            "witness": witness,
-            "witness_side": self.witness_side,
-            "mode": self.mode,
-        }
-
 
 def _ok(mode: str) -> PseudorandomVerdict:
     return PseudorandomVerdict(True, None, None, None, mode)

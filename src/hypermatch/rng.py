@@ -100,10 +100,6 @@ class Rng:
         self.counter += count
         return words
 
-    def uniform(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.u64() >> 11) * 2.0**-53
-
     def uniform_block(self, count: int) -> np.ndarray:
         return (self.u64_block(count) >> np.uint64(11)) * 2.0**-53
 

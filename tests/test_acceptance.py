@@ -177,7 +177,7 @@ def _constructive_perfect(graph):
     if not mm.is_perfect():
         return False
     rights = set()
-    for u, v in mm.pairs():
+    for u, v in enumerate(mm.row_to_right):
         if v in rights or v not in graph.adjacency[u]:
             return False
         rights.add(v)

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from hypermatch import (
@@ -67,6 +68,14 @@ def test_parity_rejects_even_v1():
         parity_adversary(complete(6), v1=(0, 9, 10))
 
 
+def test_parity_v1_ids_must_be_integers():
+    for bad in ([1.9, 2.2, 0.5], ["1", "2", "3"]):
+        with pytest.raises(TypeError):
+            parity_adversary(complete(6), v1=bad)
+    out = parity_adversary(complete(6), v1=[np.int64(0), np.int32(2), True])
+    assert out.params["v1"] == (0, 1, 2)
+
+
 @pytest.mark.parametrize("n", [6, 9])
 def test_parity_soundness_small(n):
     assert count_perfect_matchings(parity_adversary(complete(n)).result) == 0
@@ -88,7 +97,8 @@ def test_parity_degree_split_cases():
             keep = [v for v in v2 if v not in x]
         else:
             keep = [v for v in v1 if v not in x]
-        assert out.result.codegree_into(x, keep) == h.codegree_into(x, keep)
+        assert (oracles.codegree_into_by_enumeration(out.result.edges, x, keep)
+                == oracles.codegree_into_by_enumeration(h.edges, x, keep))
 
 
 def test_parity_deterministic():

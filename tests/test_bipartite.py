@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hypermatch import (
     BipartiteGraph,
+    BipartiteMatching,
     hall_certificate,
     induce_partite,
     max_matching,
@@ -53,9 +54,10 @@ def test_matching_complete():
     mm = max_matching(g)
     assert mm.size == 3 and mm.is_perfect()
     # matched pairs really are edges and rights are distinct
-    rights = [v for _, v in mm.pairs()]
+    pairs = [(u, v) for u, v in enumerate(mm.row_to_right) if v != -1]
+    rights = [v for _, v in pairs]
     assert len(set(rights)) == 3
-    for u, v in mm.pairs():
+    for u, v in pairs:
         assert v in g.adjacency[u]
 
 
@@ -88,9 +90,10 @@ def test_matching_equals_exhaustive_oracle(density):
 def test_matching_is_valid_matching(m, seed):
     g = oracles.random_bipartite(m, 0.5, seed)
     mm = max_matching(g)
-    rights = [v for _, v in mm.pairs()]
+    pairs = [(u, v) for u, v in enumerate(mm.row_to_right) if v != -1]
+    rights = [v for _, v in pairs]
     assert len(set(rights)) == len(rights)
-    for u, v in mm.pairs():
+    for u, v in pairs:
         assert v in g.adjacency[u]
 
 
@@ -125,6 +128,18 @@ def test_certificate_rejects_perfect():
     g = BipartiteGraph(2, [[0], [1]])
     with pytest.raises(ValueError):
         hall_certificate(g)
+
+
+@pytest.mark.parametrize("rows, matching, message", [
+    ([[0], [0]], (0, 0), "not a matching"),  # a right vertex matched twice
+    ([[0], [0]], (0,), "not a matching"),  # too few rows
+    ([[0], [0]], (1, -1), "not a matching"),  # a non-edge
+    ([[0], [1]], (-1, -1), "not maximum"),
+    ([[0, 1], [0], [0]], (-1, 0, -1), "not maximum"),  # no perfect matching, size 1 of 2
+])
+def test_certificate_checks_a_supplied_matching(rows, matching, message):
+    with pytest.raises(ValueError, match=message):
+        hall_certificate(BipartiteGraph(len(rows), rows), BipartiteMatching(matching))
 
 
 def test_certificate_recomputes_on_seeded_graphs():

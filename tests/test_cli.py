@@ -94,6 +94,89 @@ def test_match_subcommand(tmp_path, capsys):
     assert payload["certificate"]["neighborhood"] == []
 
 
+# exact stdout at pinned inputs, the out path blanked: the JSON views must not drift
+PINNED_MATCH = """\
+{
+  "certificate": {
+    "members": [
+      1,
+      2
+    ],
+    "neighborhood": [
+      0
+    ],
+    "side": "left"
+  },
+  "m": 3,
+  "perfect": false,
+  "rows": [
+    1,
+    0,
+    -1
+  ],
+  "size": 2
+}
+"""
+
+PINNED_PARITY = """\
+{
+  "deleted": 10,
+  "edges_after": 10,
+  "edges_before": 20,
+  "mode": "parity",
+  "out": "OUT",
+  "params": {
+    "v1": [
+      0,
+      1,
+      2
+    ]
+  },
+  "residual_min_codegree": 1
+}
+"""
+
+PINNED_FAILURE = """\
+{
+  "alpha": 0.08333333333333334,
+  "certificate": {
+    "members": [
+      1
+    ],
+    "neighborhood": [],
+    "side": "left"
+  },
+  "delta_star": 0,
+  "failure_stage": "pi-search",
+  "matched": false,
+  "out": "OUT",
+  "partition_attempts": 20,
+  "partition_passed": false,
+  "partition_worst_deviation": 2.0,
+  "pi_attempts": 4,
+  "verified": false
+}
+"""
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["match", "--bipartite", "B"], 0, PINNED_MATCH),
+    (["adversary", "--in", "H", "--mode", "parity", "--out", "OUT"], 0, PINNED_PARITY),
+    (["pipeline", "--in", "F", "--epsilon", "0.1", "--seed", "7", "--pi-budget", "4",
+      "--out", "OUT"], 2, PINNED_FAILURE),
+])
+def test_json_stdout_pinned(tmp_path, capsys, argv, code, expected):
+    files = {name: tmp_path / name for name in ("B", "H", "F", "OUT")}
+    files["B"].write_text("3\n0 1 2\n0\n0\n")
+    write_hypergraph(files["H"], Hypergraph(6, 3, oracles.complete_edges(6, 3)))
+    write_hypergraph(files["F"], Hypergraph(6, 3, [(0, 1, 2)]))
+    got, stdout, _ = run_cli(capsys, *[str(files.get(arg, arg)) for arg in argv])
+    blank = json.dumps(str(files["OUT"]))
+    assert (got, stdout.replace(blank, '"OUT"')) == (code, expected)
+    if argv[0] == "pipeline":  # the failure report is the stdout payload
+        assert files["OUT"].read_text().replace(blank, '"OUT"') == expected
+
+
 def test_stats_exact(tmp_path, capsys):
     path = tmp_path / "m.txt"
     path.write_text("2\n10\n11\n")
@@ -148,6 +231,15 @@ def test_experiment_config_wrong_type_is_one_line_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
     assert code == 1
     assert err.strip().splitlines() == ["error: config field 'n' must be int, got '60'"]
+
+
+def test_experiment_config_missing_fields_is_one_line_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 6}))
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert code == 1
+    assert err.strip().splitlines() == [
+        "error: missing config fields: ['k', 'p', 'epsilon', 'trials', 'base_seed']"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import MISSING
 
 import pytest
 
@@ -72,10 +73,14 @@ def test_config_json_round_trip():
 @pytest.mark.parametrize("field,value", [
     ("n", "6"), ("trials", 2.0), ("base_seed", True), ("k", None), ("p", "1"),
     ("adversary", 3), ("record_timing", 1), ("greedy_threshold", 1.5), ("pi_budget", [10]),
+    ("epsilon", MISSING), ("base_seed", MISSING),
 ])
 def test_config_json_rejects_wrong_types(field, value):
     data = json.loads(small_config().to_json())
-    data[field] = value
+    if value is MISSING:
+        del data[field]
+    else:
+        data[field] = value
     with pytest.raises(ValueError, match=repr(field)):
         exp.ExperimentConfig.from_json(json.dumps(data))
 

@@ -32,7 +32,7 @@ def test_matrix_validation():
         ExtensionMatrix([[True, False]])
     with pytest.raises(ValueError):
         ExtensionMatrix(np.zeros((0, 0), dtype=bool))
-    mat = ExtensionMatrix.from_rows(3, [{0}, {1, 2}, set()])
+    mat = ExtensionMatrix([[True, False, False], [False, True, True], [False, False, False]])
     assert mat.row_sums == (1, 2, 0) and mat.total == 3
     assert mat.mean_degree() == Fraction(1)
 

@@ -139,20 +139,6 @@ def test_codegree_rejects_wrong_size():
         complete(6).codegree((0, 9))
 
 
-def test_codegree_into_examples():
-    edges = [(0, 1, 2), (0, 1, 3), (2, 3, 4)]
-    h = Hypergraph(6, 3, edges)
-    assert h.codegree_into((0, 1), (2,)) == 1
-    assert h.codegree_into((0, 1), (2,)) == oracles.codegree_into_by_enumeration(edges, (0, 1), (2,))
-    assert h.codegree_into((0, 1), range(6)) == h.codegree((0, 1))
-    assert h.codegree_into((0, 1), ()) == 0
-
-
-def test_codegree_into_ignores_overlap_with_subset():
-    h = Hypergraph(6, 3, [(0, 1, 2)])
-    assert h.codegree_into((0, 1), (0, 1, 2)) == 1
-
-
 def test_extremes():
     assert complete(6).codegree_extremes() == (4, 4)
     h = Hypergraph(6, 3, [(0, 1, 2), (0, 1, 3), (2, 3, 4)])
@@ -177,7 +163,7 @@ def test_parts_split_every_codegree(seed):
     h = sample_hypergraph(12, 3, 0.5, seed)
     partition = sample_balanced_partition(12, 3, seed + 1)
     for x in itertools.combinations(range(12), 2):
-        split = sum(h.codegree_into(x, part) for part in partition.parts)
+        split = sum(oracles.codegree_into_by_enumeration(h.edges, x, part) for part in partition.parts)
         assert split == h.codegree(x)
 
 

@@ -15,7 +15,6 @@ from hypermatch import (
     check_perfect_matching,
     find_matching_permutations,
     find_perfect_matching,
-    identity_family,
     induce_partite,
     matching_to_edges,
     max_matching,
@@ -42,7 +41,7 @@ def two_disjoint():
 
 def test_auxiliary_identity_two_disjoint_edges():
     hp = two_disjoint()
-    b = auxiliary_graph(hp, identity_family(hp))
+    b = auxiliary_graph(hp, PermutationFamily(hp.parts[:-1]))
     assert b.adjacency == ((0,), (1,))
 
 
@@ -74,7 +73,7 @@ def test_auxiliary_edge_count_identity_family(seed):
     h = sample_hypergraph(12, 3, 0.5, seed)
     p = BalancedPartition([range(0, 4), range(4, 8), range(8, 12)])
     hp = induce_partite(h, p)
-    b = auxiliary_graph(hp, identity_family(hp))
+    b = auxiliary_graph(hp, PermutationFamily(hp.parts[:-1]))
     expected = sum(
         1
         for i in range(4)
@@ -106,7 +105,7 @@ def test_auxiliary_row_degrees_at_least_dstar(seed):
     hp = induce_partite(h, p)
     dstar = hp.min_transversal_codegree()
     for s in range(3):
-        fam = identity_family(hp) if s == 0 else _random_family(hp, s)
+        fam = PermutationFamily(hp.parts[:-1]) if s == 0 else _random_family(hp, s)
         b = auxiliary_graph(hp, fam)
         assert all(len(row) >= dstar for row in b.adjacency)
 
@@ -136,7 +135,7 @@ def test_translation_rejects_partial():
     from hypermatch.bipartite import BipartiteMatching
 
     with pytest.raises(ValueError):
-        matching_to_edges(hp, identity_family(hp), BipartiteMatching((0, -1)))
+        matching_to_edges(hp, PermutationFamily(hp.parts[:-1]), BipartiteMatching((0, -1)))
 
 
 def test_find_permutations_all_transversals_first_attempt():
