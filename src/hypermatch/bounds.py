@@ -2,8 +2,8 @@
 
 Values above 1 are returned unclamped and flagged vacuous; callers decide
 what to do with an uninformative bound. Exact binomial tails (used by the
-self-test mode and by the test suite's oracles) are computed by plain pmf
-summation, practical for small trial counts.
+self-test mode and by the test suite's oracles) sum pmf terms computed in
+log space, so no term overflows at any trial count.
 """
 
 from __future__ import annotations
@@ -46,8 +46,12 @@ def binomial_upper_tail(trials: int, q: float, threshold: int) -> float:
     if trials < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("need trials >= 0 and q in [0, 1]")
     lo = max(0, threshold)
+    if q in (0.0, 1.0):  # all mass on X = trials * q
+        return float(lo <= trials * q)
+    log_q, log_rest, log_all = math.log(q), math.log1p(-q), math.lgamma(trials + 1)
     terms = [
-        math.comb(trials, j) * (q ** j) * ((1.0 - q) ** (trials - j))
+        math.exp(log_all - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+                 + j * log_q + (trials - j) * log_rest)
         for j in range(lo, trials + 1)
     ]
     return min(1.0, math.fsum(terms))
@@ -63,7 +67,10 @@ def binomial_tail_bound(trials: int, q: float, threshold: int, *, self_test: boo
         raise ValueError("threshold must be positive")
     if trials < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("need trials >= 0 and q in [0, 1]")
-    value = (math.e * trials * q / threshold) ** threshold
+    try:
+        value = (math.e * trials * q / threshold) ** threshold
+    except OverflowError:  # only a base above 1 overflows, so the bound is vacuous
+        value = math.inf
     if self_test and trials <= 30:
         exact = binomial_upper_tail(trials, q, threshold)
         if exact > value * (1 + 1e-12) + 1e-300:

@@ -170,8 +170,16 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error (argparse's own code, 2, means a pipeline failure here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hypermatch",
         description="Random hypergraph matchings under co-degree deletion adversaries.",
     )

@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import os
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -215,12 +216,16 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialOutcome:
 
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialOutcome]:
-    """All trials, in trial order regardless of scheduling."""
+    """All trials, in trial order regardless of scheduling, on at most
+    min(workers, trials, CPUs) threads."""
     cfg.validate()
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     indices = range(cfg.trials)
-    if workers <= 1:
+    threads = min(workers, cfg.trials, os.cpu_count() or 1)
+    if threads == 1:
         return [run_trial(cfg, t) for t in indices]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda t: run_trial(cfg, t), indices))
 
 

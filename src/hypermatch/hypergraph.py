@@ -8,9 +8,10 @@ ascending, and X = ``_keys[s]`` owns the ascending completions
 ``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE) memory for any n. The
 arrays are read-only, so hypergraphs are safe to share across threads.
 
-Also here: balanced vertex partitions, the k-partite restriction, perfect
-matching verification with reason codes, and the backtracking oracles that
-find or count perfect matchings at desk scale.
+Also here: balanced vertex partitions, the k-partite restriction (an edge
+array whose delta* is counted in the pass that builds its row bitmasks),
+perfect matching verification with reason codes, and the backtracking
+oracles that find or count perfect matchings at desk scale.
 """
 
 from __future__ import annotations
@@ -259,31 +260,39 @@ def _transversal_mask(hypergraph: Hypergraph, partition: BalancedPartition) -> n
 
 
 class PartiteHypergraph:
-    """k-partite restriction: every edge meets each part exactly once."""
+    """k-partite restriction: every edge meets each part exactly once. Holds
+    the kept ``edge_array``; ``hypergraph`` indexes it on first read."""
 
-    __slots__ = ("hypergraph", "partition", "_rows")
+    __slots__ = ("edge_array", "partition", "_hypergraph", "_rows")
 
     def __init__(self, hypergraph: Hypergraph, partition: BalancedPartition):
         transversal = _transversal_mask(hypergraph, partition)
         if not transversal.all():
             e = tuple(hypergraph.edge_array[np.argmin(transversal)].tolist())
             raise ValueError(f"edge {e} is not a transversal of the partition")
-        self.hypergraph, self.partition, self._rows = hypergraph, partition, None
+        self.edge_array, self.partition, self._hypergraph, self._rows = (
+            hypergraph.edge_array, partition, hypergraph, None)
 
     @classmethod
-    def _trusted(cls, hypergraph: Hypergraph, partition: BalancedPartition) -> "PartiteHypergraph":
-        """Internal fast path: every edge already meets each part once."""
+    def _trusted(cls, edge_array: np.ndarray, partition: BalancedPartition) -> "PartiteHypergraph":
+        """Internal fast path: rows as in Hypergraph, each meeting every part once."""
         obj = object.__new__(cls)
-        obj.hypergraph, obj.partition, obj._rows = hypergraph, partition, None
+        obj.edge_array, obj.partition, obj._hypergraph, obj._rows = edge_array, partition, None, None
         return obj
 
     @property
+    def hypergraph(self) -> Hypergraph:
+        if self._hypergraph is None:
+            self._hypergraph = Hypergraph._trusted(self.n, self.k, self.edge_array)
+        return self._hypergraph
+
+    @property
     def n(self) -> int:
-        return self.hypergraph.n
+        return self.partition.n
 
     @property
     def k(self) -> int:
-        return self.hypergraph.k
+        return self.partition.k
 
     @property
     def m(self) -> int:
@@ -295,52 +304,47 @@ class PartiteHypergraph:
 
     def min_transversal_codegree(self) -> int:
         """Minimum over parts i and transversal (k-1)-tuples X of the other
-        parts of the number of completions of X inside part i.
+        parts of the number of completions of X inside part i, zeros
+        included; every edge is transversal, so that is the co-degree of X."""
+        return self._row_table()[2]
 
-        Every edge is transversal, so that is the co-degree of X, and every
-        index key is such a tuple. The minimum is therefore the least key
-        degree when all k * m^(k-1) tuples are keys, and 0 otherwise.
-        """
-        h = self.hypergraph
-        return int(h._degrees().min()) if len(h._keys) == self.k * self.m ** (self.k - 1) else 0
-
-    def _row_table(self) -> tuple[list[int], list[int]]:
-        """(position, masks), built on first use: ``position[v]`` is v's
-        index inside its part, and bit v of ``masks[sum_j p_j * m^(k-2-j)]``
+    def _row_table(self) -> tuple[list[int], list[int], int]:
+        """(position, masks, delta*), built on first use: ``position[v]`` is
+        v's index inside its part, and bit v of ``masks[sum_j p_j * m^(k-2-j)]``
         is set exactly when last-part position v completes the transversal
         tuple with positions p_0..p_{k-2} in parts 0..k-2 to an edge."""
         if self._rows is None:
             m, k = self.m, self.k
             position = np.empty(self.n, dtype=np.int64)
             position[np.asarray(self.parts)] = np.arange(m)
-            edges = self.hypergraph.edge_array
+            edges = self.edge_array
             by_part = np.empty_like(edges)  # column j: the vertex in part j
             by_part[np.arange(len(edges))[:, None], np.asarray(self.partition.assignment)[edges]] = edges
-            local = position[by_part]
-            index = np.zeros(len(edges), dtype=np.int64)
-            for j in range(k - 1):
-                index = index * m + local[:, j]
+            columns = list(position[by_part].T)
+            # tuple ranks with part i left out; their counts are the co-degrees
+            ranks = [np.ravel_multi_index(columns[:i] + columns[i + 1:], (m,) * (k - 1)) for i in range(k)]
+            dstar = min(int(np.bincount(r, minlength=m ** (k - 1)).min()) for r in ranks)
             # each row as `words` little-endian uint64s; edges are distinct, so
             # the bits added into one byte are too, and their sum is their OR
             words = (m + 63) // 64
-            right = local[:, k - 1]
+            index, right = ranks[-1], columns[-1]
             packed = np.zeros(m ** (k - 1) * 8 * words, dtype=np.uint8)
             np.add.at(packed, index * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
-            columns = packed.view("<u8").reshape(-1, words).T
-            masks = columns[0].tolist()
+            table = packed.view("<u8").reshape(-1, words).T
+            masks = table[0].tolist()
             for w in range(1, words):
-                masks = [mask | high << 64 * w for mask, high in zip(masks, columns[w].tolist())]
-            self._rows = (position.tolist(), masks)
+                masks = [mask | high << 64 * w for mask, high in zip(masks, table[w].tolist())]
+            self._rows = (position.tolist(), masks, dstar)
         return self._rows
 
     def __repr__(self) -> str:
-        return f"PartiteHypergraph(n={self.n}, k={self.k}, edges={self.hypergraph.edge_count()})"
+        return f"PartiteHypergraph(n={self.n}, k={self.k}, edges={len(self.edge_array)})"
 
 
 def induce_partite(hypergraph: Hypergraph, partition: BalancedPartition) -> PartiteHypergraph:
     """Keep exactly the edges that meet every part of the partition once."""
-    kept = hypergraph.edge_array[_transversal_mask(hypergraph, partition)]
-    return PartiteHypergraph._trusted(Hypergraph._trusted(hypergraph.n, hypergraph.k, kept), partition)
+    return PartiteHypergraph._trusted(
+        hypergraph.edge_array[_transversal_mask(hypergraph, partition)], partition)
 
 
 # -- perfect matchings ----------------------------------------------------
@@ -395,7 +399,9 @@ class PMSearch:
 
 def _perfect_matchings(hypergraph: Hypergraph):
     """Every perfect matching, by backtracking over the lowest uncovered
-    vertex with candidate edges in lexicographic order; k must divide n."""
+    vertex with candidate edges in lexicographic order; k must divide n.
+    The search keeps one candidate iterator per chosen edge on an explicit
+    stack, so its depth n/k is not bounded by the recursion limit."""
     n = hypergraph.n
     by_vertex: list[list[Edge]] = [[] for _ in range(n)]
     for e in hypergraph.edges:
@@ -403,25 +409,27 @@ def _perfect_matchings(hypergraph: Hypergraph):
             by_vertex[v].append(e)
     covered = bytearray(n)
     chosen: list[Edge] = []
-
-    def walk(v: int):
+    candidates = [iter(by_vertex[0])]
+    while candidates:
+        e = next((e for e in candidates[-1] if not any(covered[u] for u in e)), None)
+        if e is None:
+            candidates.pop()
+            if chosen:  # this vertex is exhausted: undo the edge that led here
+                for u in chosen.pop():
+                    covered[u] = 0
+            continue
+        for u in e:
+            covered[u] = 1
+        chosen.append(e)
+        v = e[0] + 1  # e holds the lowest uncovered vertex, so that is e[0]
         while v < n and covered[v]:
             v += 1
-        if v == n:
-            yield tuple(chosen)
-            return
-        for e in by_vertex[v]:
-            if any(covered[u] for u in e):
-                continue
-            for u in e:
-                covered[u] = 1
-            chosen.append(e)
-            yield from walk(v + 1)
-            chosen.pop()
-            for u in e:
-                covered[u] = 0
-
-    return walk(0)
+        if v < n:
+            candidates.append(iter(by_vertex[v]))
+            continue
+        yield tuple(chosen)
+        for u in chosen.pop():
+            covered[u] = 0
 
 
 def bruteforce_perfect_matching(hypergraph: Hypergraph) -> PMSearch:

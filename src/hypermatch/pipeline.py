@@ -8,7 +8,7 @@ b. samples balanced partitions and scores them in packed blocks, keeping
    the first whose co-degree split passes at alpha, else the best effort
    partition seen (small instances rarely pass; matching success decides);
 c. induces the k-partite restriction H' and records its minimum transversal
-   co-degree;
+   co-degree, counted in the pass that builds the row bitmasks of step d;
 d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
@@ -84,7 +84,7 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
-    position, _ = partite._row_table()
+    position, _, _ = partite._row_table()
     return BipartiteGraph._from_masks(
         _auxiliary_masks(partite, [[position[v] for v in perm] for perm in family.maps]))
 
@@ -93,7 +93,7 @@ def _auxiliary_masks(partite: PartiteHypergraph, local: list[list[int]]) -> list
     """Row bitmasks of the auxiliary graph of the family putting
     parts[j][local[j][i]] in row i, identity past len(local); run per
     attempt, so it only indexes lists."""
-    _, table = partite._row_table()
+    _, table, _ = partite._row_table()
     m = partite.m
     index = local[0]
     for j in range(1, partite.k - 1):

@@ -106,6 +106,30 @@ def perfect_matchings_by_permutations(n, k, edges):
     return count
 
 
+def perfect_matchings_recursive(hypergraph):
+    """Every perfect matching, one recursive call per chosen edge: lowest
+    uncovered vertex first, candidate edges in lexicographic order."""
+    n = hypergraph.n
+    by_vertex = [[e for e in hypergraph.edges if v in e] for v in range(n)]
+    covered = [False] * n
+
+    def walk(v, chosen):
+        while v < n and covered[v]:
+            v += 1
+        if v == n:
+            yield tuple(chosen)
+            return
+        for e in by_vertex[v]:
+            if not any(covered[u] for u in e):
+                for u in e:
+                    covered[u] = True
+                yield from walk(v + 1, chosen + [e])
+                for u in e:
+                    covered[u] = False
+
+    return walk(0, [])
+
+
 # -- permutation search -----------------------------------------------------
 
 
@@ -259,6 +283,22 @@ def exact_binomial_pmf(n, q: Fraction):
 def exact_binomial_upper(n, q: Fraction, threshold):
     pmf = exact_binomial_pmf(n, q)
     return sum(pmf[max(0, threshold):], Fraction(0))
+
+
+def binomial_upper_by_integers(n, q: Fraction, threshold):
+    """P(X >= threshold) exactly, each pmf numerator C(n, j) a^j (b-a)^(n-j)
+    over b^n (q = a/b) derived from the previous one in integers: fast
+    enough for n = 10^5 at q = 1/2."""
+    a, b = q.numerator, q.denominator
+    lo = max(0, threshold)
+    if lo > n:
+        return Fraction(0)
+    term = math.comb(n, lo) * a**lo * (b - a) ** (n - lo)
+    total = term
+    for j in range(lo, n):
+        term = term * (n - j) * a // ((j + 1) * (b - a))
+        total += term
+    return Fraction(total, b**n)
 
 
 def exact_binomial_lower_strict(n, q: Fraction, threshold):

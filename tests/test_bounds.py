@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypermatch import binomial_tail_bound, binomial_upper_tail, chernoff_bounds, mcdiarmid_bound
+from hypermatch import BoundValue, binomial_tail_bound, binomial_upper_tail, chernoff_bounds, mcdiarmid_bound
 
 import oracles
 
@@ -109,6 +109,30 @@ def test_exact_tail_helper_matches_fraction_oracle():
             for threshold in range(0, trials + 2):
                 exact = oracles.exact_binomial_upper(trials, Fraction(tenths, 10), threshold)
                 assert binomial_upper_tail(trials, q, threshold) == pytest.approx(float(exact), abs=1e-12)
+
+
+def test_exact_tail_at_1100_trials_matches_fraction_oracle():
+    # math.comb(1100, 550) alone is too large for a float
+    for tenths in (5, 9):
+        pmf = oracles.exact_binomial_pmf(1100, Fraction(tenths, 10))
+        for threshold in (0, 515, 550, 600, 990, 1000, 1100, 1101):
+            exact = float(sum(pmf[threshold:], Fraction(0)))
+            assert binomial_upper_tail(1100, tenths / 10, threshold) == pytest.approx(exact, rel=1e-11, abs=1e-300)
+    assert binomial_upper_tail(1030, 0.5, 515) == pytest.approx(0.5124275649682878, rel=1e-11)
+
+
+def test_exact_tail_at_100000_trials_matches_integer_oracle():
+    exact = oracles.binomial_upper_by_integers(10**5, Fraction(1, 2), 50_500)
+    assert binomial_upper_tail(10**5, 0.5, 50_500) == pytest.approx(float(exact), rel=1e-8)
+    assert binomial_upper_tail(10**5, 0.5, 10**5) == 0.0  # 2^-100000 is below the float range
+    assert binomial_upper_tail(10**5, 1.0, 10**5) == 1.0
+    assert binomial_upper_tail(10**5, 0.0, 1) == 0.0
+    assert binomial_upper_tail(10**5, 0.0, 0) == 1.0
+
+
+def test_overflowing_bound_is_vacuous():
+    assert binomial_tail_bound(10**6, 0.9, 1000) == BoundValue(math.inf, True)
+    assert binomial_tail_bound(10**6, 1e-9, 1000).value < 1e-300  # underflow stays a value
 
 
 def test_chernoff_dominates_hypergeometric_spot_checks():

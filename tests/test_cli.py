@@ -281,3 +281,32 @@ def test_unreadable_input_reports_error(tmp_path, capsys):
 def test_bad_subcommand_exits_nonzero(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--in", "h.txt", "--epsilon", "0.2", "--seed", "1", "--out", "m.txt", "--pi-budget", "abc"],
+    ["partition", "--in", "h.txt", "--seed", "1", "--alpha", "0.1", "--k", "3"],
+    ["frobnicate"],
+    ["pipeline", "--epsilon", "0.2"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # 2 is reserved for a failed pipeline (test_pipeline_failure_writes_report)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["pipeline", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 0
+    assert "usage:" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_experiment_rejects_nonpositive_workers(workers, capsys):
+    code, _, err = run_cli(capsys, "experiment", "--n", "6", "--k", "3", "--p", "0.5",
+                           "--epsilon", "0.2", "--trials", "2", "--workers", workers)
+    assert code == 1 and "workers" in err

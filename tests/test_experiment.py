@@ -145,6 +145,40 @@ def test_records_deterministic_and_schedule_independent():
     assert exp.outcomes_to_json(cfg, one).encode() == exp.outcomes_to_json(cfg, two).encode()
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_experiment_rejects_nonpositive_workers(workers):
+    with pytest.raises(ValueError, match="workers"):
+        exp.run_experiment(small_config(trials=2), workers=workers)
+
+
+@pytest.mark.parametrize("workers,trials,cpus,threads", [
+    (10**9, 3, 8, 3), (10**9, 20, 8, 8), (5, 20, 8, 5), (4, 20, None, None)])
+def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
+    # a stand-in executor records the thread count it is asked for and
+    # runs the trials in the calling thread
+    asked = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(exp, "ThreadPoolExecutor", Recorder)
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+    cfg = small_config(trials=trials)
+    outcomes = exp.run_experiment(cfg, workers=workers)
+    assert asked == ([threads] if threads else [])  # one thread runs the trials itself
+    assert exp.records(outcomes) == exp.records(exp.run_experiment(cfg))
+
+
 def test_csv_header_and_round_trip(tmp_path):
     cfg = small_config(trials=3)
     recs = exp.records(exp.run_experiment(cfg))

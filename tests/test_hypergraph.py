@@ -216,6 +216,9 @@ def test_partite_rejects_nontransversal_edges():
     p = BalancedPartition([(0, 1), (2, 3), (4, 5)])
     with pytest.raises(ValueError):
         hg.PartiteHypergraph(Hypergraph(6, 3, [(0, 1, 2)]), p)
+    edges = list(itertools.product(*p.parts)) + [(0, 1, 4)]
+    with pytest.raises(ValueError, match=r"\(0, 1, 4\) is not a transversal"):
+        hg.PartiteHypergraph(Hypergraph(6, 3, edges), p)
 
 
 def test_min_transversal_codegree_full_and_empty():
@@ -247,8 +250,8 @@ def test_min_transversal_codegree_matches_scan_other_k(n, k, p):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_min_transversal_codegree_planted_complete_partite(k):
-    # delta* is read off the index only when all k * m^(k-1) transversal
-    # tuples are keys: full, one edge short of full, one tuple short of full
+    # full, one edge short of full, one tuple short of full; the view's
+    # index has a key for every tuple with a completion
     m = 3
     part = sample_balanced_partition(k * m, k, 5)
     full = list(itertools.product(*part.parts))
@@ -261,6 +264,58 @@ def test_min_transversal_codegree_planted_complete_partite(k):
         assert len(hp.hypergraph._keys) == keys
         assert hp.min_transversal_codegree() == dstar
         assert oracles.min_transversal_codegree_scan(part.parts, edges) == dstar
+
+
+@pytest.mark.parametrize("m", [64, 65, 80])
+def test_min_transversal_codegree_k2_matches_scan_one_and_two_word_rows(m):
+    part = sample_balanced_partition(2 * m, 2, m)
+    full = list(itertools.product(*part.parts))  # delta* m, then m - 1
+    for edges in ([], full, full[1:], sample_hypergraph(2 * m, 2, 0.97, m).edges):
+        hp = induce_partite(Hypergraph(2 * m, 2, edges), part)
+        expected = oracles.min_transversal_codegree_scan(part.parts, hp.hypergraph.edges)
+        assert hp.min_transversal_codegree() == expected
+
+
+def latin_partite(part, shifts):
+    """Edges (a, b, c, (a + b + c + s) mod m) in part-local positions, one
+    block per shift s: each of the k * m^3 transversal triples has exactly
+    len(shifts) completions."""
+    m = part.m
+    a, b, c = (axis.ravel() for axis in np.indices((m, m, m)))
+    local = np.concatenate([np.stack([a, b, c, (a + b + c + s) % m], axis=1) for s in shifts])
+    edges = np.sort(np.asarray(part.parts)[np.arange(4), local], axis=1)
+    return edges[np.lexsort(edges.T[::-1])]
+
+
+@pytest.mark.parametrize("m", [5, 64, 65, 80])
+def test_min_transversal_codegree_k4_planted_latin(m):
+    part = sample_balanced_partition(4 * m, 4, m)
+    one = latin_partite(part, [0])
+    cases = [(one, 1), (one[1:], 0), (one[:0], 0)]
+    if m == 5:  # small enough for the scan, and for the complete restriction
+        cases += [(latin_partite(part, [0, 2]), 2), (latin_partite(part, range(m)), m)]
+    for edges, dstar in cases:
+        h = Hypergraph._trusted(4 * m, 4, edges)
+        hp = induce_partite(h, part)
+        assert np.array_equal(hp.edge_array, edges)
+        assert hp.min_transversal_codegree() == dstar
+        if m == 5:
+            assert oracles.min_transversal_codegree_scan(part.parts, h.edges) == dstar
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_partite_view_equals_the_kept_edges(seed):
+    h = sample_hypergraph(12, 3, 0.5, seed)
+    p = sample_balanced_partition(12, 3, seed)
+    hp = induce_partite(h, p)
+    kept = oracles.transversal_filter(h.edges, p.parts)
+    assert hp.hypergraph == Hypergraph(12, 3, kept)
+    assert hp.hypergraph is hp.hypergraph
+    # the validating constructor keeps the graph it is given and agrees on the rest
+    checked = hg.PartiteHypergraph(hp.hypergraph, p)
+    assert checked.hypergraph is hp.hypergraph
+    assert checked.min_transversal_codegree() == hp.min_transversal_codegree()
+    assert checked._row_table() == hp._row_table()
 
 
 # -- perfect matchings ----------------------------------------------------------
@@ -314,6 +369,19 @@ def test_bruteforce_output_always_verifies(seed):
         assert count_perfect_matchings(h) > 0
     else:
         assert count_perfect_matchings(h) == 0
+
+
+def test_bruteforce_is_not_bounded_by_the_recursion_limit():
+    h = Hypergraph(4000, 2, [(2 * i, 2 * i + 1) for i in range(2000)])
+    assert bruteforce_perfect_matching(h).matching == h.edges
+    assert count_perfect_matchings(h) == 1
+
+
+@pytest.mark.parametrize("n,k,p", [(9, 3, 0.7), (12, 3, 0.5), (10, 2, 0.5), (8, 4, 0.8)])
+def test_matchings_in_the_order_of_the_recursive_search(n, k, p):
+    for seed in range(3):
+        h = sample_hypergraph(n, k, p, seed)
+        assert list(hg._perfect_matchings(h)) == list(oracles.perfect_matchings_recursive(h))
 
 
 @pytest.mark.parametrize("seed", range(4))

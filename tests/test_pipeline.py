@@ -15,6 +15,7 @@ from hypermatch import (
     check_perfect_matching,
     find_matching_permutations,
     find_perfect_matching,
+    greedy_budget_adversary,
     induce_partite,
     matching_to_edges,
     max_matching,
@@ -418,3 +419,25 @@ def test_hall_equivalence_exhaustive_m2():
         exists = oracles.perfect_matching_exists(adj)
         assert exists == oracles.hall_conditions_hold(adj)
         assert exists == max_matching(BipartiteGraph(2, adj)).is_perfect()
+
+
+@pytest.mark.parametrize("strategy", [STRATEGY_PI1, STRATEGY_FULL])
+def test_pipeline_builds_no_index(strategy, monkeypatch):
+    # delta* and the pi-search read the restriction's row table; the only
+    # co-degree indexes are those of the graphs handed in
+    sampled = sample_hypergraph(24, 3, 0.6, 11)
+    graphs = {"none": sampled, "greedy": greedy_budget_adversary(sampled, 3, 1).result,
+              "parity": parity_adversary(sampled).result}
+    builds = []
+    finish_init = Hypergraph._finish_init
+
+    def counted(self, *args):
+        builds.append(args[:2])
+        finish_init(self, *args)
+
+    monkeypatch.setattr(Hypergraph, "_finish_init", counted)
+    outcomes = {name: find_perfect_matching(h, 0.2, PipelineConfig(pi_budget=30, strategy=strategy), seed=4)
+                for name, h in graphs.items()}
+    assert builds == []
+    assert outcomes["none"].matched and not outcomes["parity"].matched
+    assert outcomes["parity"].min_transversal_codegree == 0
