@@ -17,7 +17,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .hypergraph import Hypergraph, _as_vertex
-from .rng import Rng
+from .rng import Rng, permutations
 
 
 @dataclass(frozen=True)
@@ -89,8 +89,7 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     # co-degrees as plain ints in a list
     slots = hypergraph._edge_slots().tolist()
     counts = hypergraph._degrees().tolist()
-    order = list(range(len(slots)))
-    Rng(seed).shuffle(order)
+    [order] = next(permutations([Rng(seed).key], len(slots)))
     removed = bytearray(len(slots))
     for e in order:
         subsets = slots[e]

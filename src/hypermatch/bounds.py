@@ -32,10 +32,10 @@ def chernoff_bounds(a: float, mu: float) -> tuple[BoundValue, Optional[BoundValu
     Upper tail: P(X > (1+a)mu) < exp(-a^2 mu / 3), only for 0 < a < 3/2
     (None outside that range). The same bounds hold for hypergeometric X.
     """
-    if a <= 0:
-        raise ValueError("deviation a must be positive")
-    if mu < 0:
-        raise ValueError("mean must be nonnegative")
+    if not 0 < a < math.inf:
+        raise ValueError("deviation a must be positive and finite")
+    if not 0 <= mu < math.inf:
+        raise ValueError("mean must be nonnegative and finite")
     lower = BoundValue.of(math.exp(-a * a * mu / 2.0))
     upper = BoundValue.of(math.exp(-a * a * mu / 3.0)) if a < 1.5 else None
     return lower, upper
@@ -84,8 +84,8 @@ def mcdiarmid_bound(t: float, r: float, c: float, median: float) -> BoundValue:
     """2 * exp(-t^2 / (16 r c^2 M)) for the permutation concentration setup:
     swapping two elements moves the statistic by at most 2c, and value s is
     certified by at most r*s coordinates."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if r <= 0 or c <= 0 or median <= 0:
-        raise ValueError("r, c, and the median must be positive")
+    if not 0 <= t < math.inf:
+        raise ValueError("t must be nonnegative and finite")
+    if not all(0 < x < math.inf for x in (r, c, median)):
+        raise ValueError("r, c, and the median must be positive and finite")
     return BoundValue.of(2.0 * math.exp(-(t * t) / (16.0 * r * c * c * median)))

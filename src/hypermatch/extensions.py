@@ -99,6 +99,11 @@ def _lower_median_from_counts(counts: dict[int, int], total: int) -> int:
     raise AssertionError("empty tally")
 
 
+def _check_alpha(alpha: Optional[float]) -> None:
+    if alpha is not None and not 0 <= alpha < math.inf:
+        raise ValueError("alpha must be nonnegative and finite")
+
+
 def _containment(median: Number, mu: Fraction, alpha: Optional[float]) -> Optional[bool]:
     if alpha is None:
         return None
@@ -107,6 +112,7 @@ def _containment(median: Number, mu: Fraction, alpha: Optional[float]) -> Option
 
 def extension_stats_exact(matrix: ExtensionMatrix, alpha: Optional[float] = None) -> ExtensionStats:
     """Exact degree distribution over all m! permutations (m <= 7)."""
+    _check_alpha(alpha)
     m = matrix.m
     if m > _EXACT_LIMIT:
         raise ValueError(f"exact mode enumerates m! permutations, need m <= {_EXACT_LIMIT}")
@@ -142,6 +148,7 @@ def extension_stats_empirical(matrix: ExtensionMatrix, samples: int, seed: int,
     """
     if samples < 1:
         raise ValueError("need at least one sample")
+    _check_alpha(alpha)
     m = matrix.m
     rng = Rng(seed)
     member = matrix.member

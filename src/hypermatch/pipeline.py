@@ -13,11 +13,12 @@ d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
    auxiliary graph has a perfect matching wins. Attempt t draws pi from its
-   own substream, in doubling blocks of attempts (1, 2-3, 4-7, ..., at most
-   1,024 each). Rows are bitmasks, and each attempt is decided by an exact
-   bitset perfect-or-not test; Hopcroft-Karp runs only on the winner, whose
-   matching is translated, and on the last attempt of a failed search,
-   whose maximum matching yields the Hall certificate;
+   own substream; rng.permutations shuffles each doubling block of attempts
+   (1, 2-3, 4-7, ..., at most 1,024) at once. Rows are bitmasks, and each
+   attempt is decided by an exact bitset perfect-or-not test; Hopcroft-Karp
+   runs only on the winner, whose matching is translated, and on the last
+   attempt of a failed search, whose maximum matching yields the Hall
+   certificate;
 e. translates the bipartite matching back to hyperedges and verifies it.
 
 A perfect matching of the auxiliary graph always translates to a perfect
@@ -49,7 +50,7 @@ from .hypergraph import (
     check_perfect_matching,
     induce_partite,
 )
-from .rng import MASK64, Rng, apply_swaps, substream, substreams, u64_blocks
+from .rng import permutations, substream, substreams
 from .sampling import sample_balanced_partition, score_partitions
 
 STRATEGY_PI1 = "pi1-only"
@@ -143,24 +144,12 @@ class PiSearch:
 def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[list[list[int]]]:
     """Part-local positions of attempts 1..budget, yielded one at a time:
     attempt t is ``shuffles`` successive ``Rng.permutation(m)`` draws of the
-    stream substream(seed, t). Attempts come in doubling blocks (1, 2-3,
-    4-7, ...) of at most _MAX_BLOCK, each one key vector, one word block and
-    one modulo; a row holding a word that ``Rng.below`` may reject is
-    redrawn by ``Rng``."""
+    stream substream(seed, t), drawn by rng.permutations in doubling blocks
+    of attempts (1, 2-3, 4-7, ...) of at most _MAX_BLOCK."""
     first = 1
     while first <= budget:
         stop = min(2 * first, first + _MAX_BLOCK, budget + 1)
-        keys = substreams(seed, np.arange(first, stop, dtype=np.uint64))
-        words = u64_blocks(keys, shuffles * (m - 1))
-        rejected = (words > np.uint64(MASK64 - m)).any(axis=1).tolist()
-        swaps = words.reshape(len(keys), shuffles, m - 1)
-        swaps %= np.arange(m, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
-        for key, reject, row in zip(keys.tolist(), rejected, swaps):
-            if reject:
-                rng = Rng(key)
-                yield [rng.permutation(m) for _ in range(shuffles)]
-            else:
-                yield [apply_swaps(list(range(m)), row_swaps) for row_swaps in row.tolist()]
+        yield from permutations(substreams(seed, np.arange(first, stop, dtype=np.uint64)), m, shuffles)
         first = stop
 
 
@@ -174,10 +163,11 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     others at the identity; "full-random" randomizes all k-1. Attempt t
     shuffles each randomized part with the stream substream(seed, t), so
     retries are independent and the search is deterministic in (inputs,
-    seed). Draws come in blocks (_drawn_positions), and each attempt is
-    decided on row bitmasks by bipartite._is_perfect. Only the winner is
-    built as vertices; Hopcroft-Karp runs once, on the winner or on the last
-    attempt of a failed search.
+    seed). rng.permutations draws a block of attempts at once
+    (_drawn_positions), and each attempt is decided on row bitmasks by
+    bipartite._is_perfect. Only the winner is built as vertices;
+    Hopcroft-Karp runs once, on the winner or on the last attempt of a
+    failed search.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")

@@ -22,6 +22,7 @@ failure but never success.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -143,6 +144,8 @@ def is_pseudorandom(graph: BipartiteGraph, eps: float, p: float, mode: str = "ex
     right, then per orientation (left before right) property 2 then 3 with
     subsets in ascending code order; the first violation is reported.
     """
+    if not math.isfinite(eps) or not 0.0 <= p <= 1.0:
+        raise ValueError("eps must be finite and p must lie in [0, 1]")
     if mode not in ("exact", "sampled"):
         raise ValueError("mode must be 'exact' or 'sampled'")
     if mode == "exact" and graph.m > _EXACT_LIMIT:

@@ -13,10 +13,13 @@ callers may draw from substreams concurrently without coordination.
 
 :func:`substreams` derives many substream keys at once and :func:`u64_blocks`
 draws words of many streams as one 2-D block, row r equal to stream r's
-scalar draws; ``Rng.u64_block`` is its one-row case.
+scalar draws; ``Rng.u64_block`` is its one-row case. :func:`permutations`
+shuffles many streams from one block, with ``Rng.shuffle`` its scalar reference.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -67,6 +70,23 @@ def apply_swaps(items: list, swaps) -> list:
     return items
 
 
+def permutations(keys, size: int, count: int = 1) -> Iterator[list[list[int]]]:
+    """Per stream key, the ``count`` successive ``Rng(key).permutation(size)``
+    draws, from one word block for all keys; a row holding a word within size
+    of 2**64, where ``Rng.below`` may reject, is redrawn by ``Rng``."""
+    keys = np.asarray(keys, dtype=np.uint64)
+    width = max(size - 1, 0)
+    swaps = u64_blocks(keys, count * width).reshape(len(keys), count, width)
+    rejected = (swaps > np.uint64(MASK64 - size)).any(axis=(1, 2)).tolist()
+    swaps %= np.arange(size, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
+    for key, reject, row in zip(keys.tolist(), rejected, swaps):
+        if reject:
+            rng = Rng(key)
+            yield [rng.permutation(size) for _ in range(count)]
+        else:
+            yield [apply_swaps(list(range(size)), row_swaps) for row_swaps in row.tolist()]
+
+
 def _mix64_array(x: np.ndarray) -> np.ndarray:
     # in place; uint64 arithmetic wraps mod 2**64, matching mix64 exactly
     x ^= x >> np.uint64(30)
@@ -114,19 +134,8 @@ class Rng:
                 return x % n
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle: swap i with below(i + 1), i = len-1..1.
-
-        Words come as one block; if one lies within len of 2**64, where below
-        may reject, below redraws them all from the same counter."""
-        size = len(items)
-        start = self.counter
-        words = self.u64_block(max(size - 1, 0))
-        if int(words.max(initial=0)) > MASK64 - size:
-            self.counter = start
-            swaps = [self.below(i + 1) for i in range(size - 1, 0, -1)]
-        else:
-            swaps = (words % np.arange(size, 1, -1, dtype=np.uint64)).tolist()
-        apply_swaps(items, swaps)
+        """In-place Fisher-Yates shuffle: swap i with below(i + 1), i = len-1..1."""
+        apply_swaps(items, [self.below(i + 1) for i in range(len(items) - 1, 0, -1)])
 
     def permutation(self, n: int) -> list[int]:
         items = list(range(n))

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .hypergraph import BalancedPartition, Edge, Hypergraph, lex_unrank
-from .rng import Rng
+from .rng import Rng, permutations
 
 
 def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -37,7 +37,7 @@ def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
     cut into k consecutive blocks of size n/k."""
     if k <= 0 or n % k:
         raise ValueError("k must be positive and divide n")
-    perm = Rng(seed).permutation(n)
+    [perm] = next(permutations([Rng(seed).key], n))
     m = n // k
     return BalancedPartition(perm[j * m:(j + 1) * m] for j in range(k))
 
@@ -171,6 +171,8 @@ def _subset_with_degree(hypergraph: Hypergraph, degree: int) -> Edge:
 
 
 def check_codegree_concentration(hypergraph: Hypergraph, p: float, eps: float) -> ConcentrationReport:
+    if not math.isfinite(eps) or not 0.0 <= p <= 1.0:
+        raise ValueError("eps must be finite and p must lie in [0, 1]")
     lower = (1.0 - eps) * hypergraph.n * p
     upper = (1.0 + eps) * hypergraph.n * p
     lo, hi = hypergraph.codegree_extremes()

@@ -130,6 +130,26 @@ def perfect_matchings_recursive(hypergraph):
     return walk(0, [])
 
 
+def greedy_scan_by_definition(edges, threshold, seed):
+    """Edges the greedy adversary keeps when it scans the edge list in the
+    order a scalar Rng(seed).shuffle gives, deleting an edge iff each of its
+    (k-1)-subsets keeps co-degree >= threshold."""
+    degree = {}
+    for e in edges:
+        for sub in itertools.combinations(e, len(e) - 1):
+            degree[sub] = degree.get(sub, 0) + 1
+    order = list(range(len(edges)))
+    Rng(seed).shuffle(order)
+    removed = set()
+    for i in order:
+        subsets = list(itertools.combinations(edges[i], len(edges[i]) - 1))
+        if min(degree[sub] for sub in subsets) > threshold:
+            for sub in subsets:
+                degree[sub] -= 1
+            removed.add(i)
+    return tuple(e for i, e in enumerate(edges) if i not in removed)
+
+
 # -- permutation search -----------------------------------------------------
 
 

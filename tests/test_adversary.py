@@ -141,6 +141,14 @@ def test_greedy_monotonicity(seed):
     assert set(out.result.edges) <= set(h.edges)
 
 
+@pytest.mark.parametrize("seed", [-3, 0, 1, 2024, 2**64 + 9])
+def test_greedy_scans_in_the_scalar_shuffle_order(seed):
+    h = sample_hypergraph(12, 3, 0.7, 21)
+    for threshold in (3, 5):
+        expected = oracles.greedy_scan_by_definition(h.edges, threshold, seed)
+        assert greedy_budget_adversary(h, threshold, seed).result.edges == expected
+
+
 def test_greedy_deterministic_in_seed():
     h = sample_hypergraph(12, 3, 0.7, 21)
     a = greedy_budget_adversary(h, 5, 9)

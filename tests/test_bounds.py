@@ -34,6 +34,13 @@ def test_chernoff_rejects_bad_deviation():
         chernoff_bounds(0.5, -1)
 
 
+@pytest.mark.parametrize("a, mu", [
+    (math.nan, 3.0), (math.inf, 3.0), (0.5, math.nan), (0.5, math.inf), (math.nan, math.nan)])
+def test_chernoff_rejects_non_finite_arguments(a, mu):
+    with pytest.raises(ValueError, match="finite"):
+        chernoff_bounds(a, mu)
+
+
 def test_chernoff_vacuous_flag():
     lower, upper = chernoff_bounds(0.01, 1)
     assert not lower.vacuous and not upper.vacuous
@@ -86,7 +93,10 @@ def test_mcdiarmid_example_values():
 def test_mcdiarmid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mcdiarmid_bound(-1, 1, 1, 100)
-    for bad in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)):
+    nan, inf = math.nan, math.inf
+    for bad in ((1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0),
+                (nan, 1, 1, 1), (inf, 1, 1, 1), (1, nan, 1, 1), (1, inf, 1, 1),
+                (1, 1, nan, 1), (1, 1, inf, 1), (1, 1, 1, nan), (1, 1, 1, inf)):
         with pytest.raises(ValueError):
             mcdiarmid_bound(*bad)
 

@@ -247,13 +247,17 @@ def test_experiment_config_missing_fields_is_one_line_error(tmp_path, capsys):
     ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "nan"],
     ["pipeline", "--in", "H", "--out", "OUT", "--seed", "1", "--epsilon", "nan"],
     ["partition", "--in", "H", "--seed", "1", "--alpha", "nan"],
+    ["stats", "--mode", "exact", "--matrix", "M", "--alpha", "nan"],
+    ["stats", "--mode", "exact", "--matrix", "M", "--alpha", "-2"],
+    ["stats", "--mode", "empirical", "--matrix", "M", "--samples", "10", "--alpha", "inf"],
     # finite epsilon whose greedy threshold (1/2 + epsilon)*n*p overflows
     ["experiment", "--n", "6", "--k", "3", "--p", "1", "--trials", "1", "--epsilon", "1e308"],
 ])
 def test_non_finite_parameters_are_one_line_errors(tmp_path, capsys, argv):
     path = tmp_path / "h.txt"
     write_hypergraph(path, Hypergraph(6, 3, oracles.complete_edges(6, 3)))
-    files = {"H": str(path), "OUT": str(tmp_path / "o.txt")}
+    (tmp_path / "m.txt").write_text("2\n10\n11\n")
+    files = {"H": str(path), "M": str(tmp_path / "m.txt"), "OUT": str(tmp_path / "o.txt")}
     code, _, err = run_cli(capsys, *[files.get(arg, arg) for arg in argv])
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("error:") and "finite" in err

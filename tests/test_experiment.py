@@ -1,7 +1,9 @@
 import hashlib
 import json
 import math
+import types
 from dataclasses import MISSING
+from pathlib import Path
 
 import pytest
 
@@ -241,6 +243,26 @@ def test_output_pinned(overrides, csv_sha, json_sha):
     assert hashlib.sha256(csv_text.encode("utf-8")).hexdigest() == csv_sha
     json_text = exp.outcomes_to_json(cfg, outs)
     assert hashlib.sha256(json_text.encode("utf-8")).hexdigest() == json_sha
+
+
+def _load_bench_workloads():
+    """bench/workloads.py, run from its source text: nothing is written to bench/."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    module = types.ModuleType("bench_workloads")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+BENCH_WORKLOADS = _load_bench_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.PINNED_CSV_SHA256))
+def test_benchmark_records_pinned(name):
+    """The benchmark's first trials keep the CSV its own pin records."""
+    cfg = BENCH_WORKLOADS.config(name, BENCH_WORKLOADS.DEFAULT_SEED)
+    recs = [exp.run_trial(cfg, t).record for t in range(BENCH_WORKLOADS.PINNED_TRIALS)]
+    assert BENCH_WORKLOADS.csv_sha256(recs) == BENCH_WORKLOADS.PINNED_CSV_SHA256[name]
 
 
 def test_timing_flag_populates_runtime(tmp_path):

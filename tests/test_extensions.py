@@ -109,6 +109,16 @@ def test_empirical_requires_samples():
         extension_stats_empirical(random_matrix(3, 0.5, 0), 0, 1)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, -2.0, math.inf, math.nan])
+def test_stats_reject_alpha_outside_nonnegative_reals(alpha):
+    mat = random_matrix(3, 0.5, 0)
+    with pytest.raises(ValueError, match="alpha"):
+        extension_stats_exact(mat, alpha=alpha)
+    with pytest.raises(ValueError, match="alpha"):
+        extension_stats_empirical(mat, 10, 1, alpha=alpha)
+    assert extension_stats_exact(mat, alpha=0.0).alpha == 0.0
+
+
 def test_containment_uses_exact_mean():
     # median 0 but exact mean positive: containment must fail for small alpha
     member = np.zeros((5, 5), dtype=bool)

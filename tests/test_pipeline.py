@@ -24,7 +24,7 @@ from hypermatch import (
     sample_balanced_partition,
     sample_hypergraph,
 )
-from hypermatch import bipartite, pipeline
+from hypermatch import bipartite, pipeline, rng
 from hypermatch.rng import MASK64, substream
 import oracles
 
@@ -268,22 +268,22 @@ def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
     hp = induce_partite(parity_adversary(complete(12)).result, sample_balanced_partition(12, 3, 2))
     assert hp.m == 4
     block_sizes, redraws = [], []
-    unpatched = pipeline.u64_blocks
+    unpatched = rng.u64_blocks
 
-    def near_top(keys, count):
-        words = unpatched(keys, count)
+    def near_top(keys, count, start=0):
+        words = unpatched(keys, count, start)
         if len(keys) == 4:
             words[rejected, -1] = word
         block_sizes.append(len(keys))
         return words
 
-    class CountingRng(pipeline.Rng):
+    class CountingRng(rng.Rng):
         def __init__(self, key):
             super().__init__(key)
             redraws.append(key)
 
-    monkeypatch.setattr(pipeline, "u64_blocks", near_top)
-    monkeypatch.setattr(pipeline, "Rng", CountingRng)
+    monkeypatch.setattr(rng, "u64_blocks", near_top)
+    monkeypatch.setattr(rng, "Rng", CountingRng)
     for strategy in pipeline.STRATEGIES:
         block_sizes.clear()
         redraws.clear()

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -108,6 +109,16 @@ def test_exact_mode_size_limit():
     g = BipartiteGraph(17, [[0]] * 17)
     with pytest.raises(ValueError):
         is_pseudorandom(g, 0.1, 0.5)
+
+
+@pytest.mark.parametrize("eps, p", [
+    (math.nan, 0.5), (math.inf, 0.5), (-math.inf, 0.5), (0.1, math.nan), (0.1, math.inf), (0.1, 1.5), (0.1, -0.5)])
+@pytest.mark.parametrize("mode", ["exact", "sampled"])
+def test_non_finite_eps_and_bad_density_rejected(eps, p, mode):
+    # the empty graph has no perfect matching: no verdict may call it pseudorandom
+    g = BipartiteGraph(3, [[], [], []])
+    with pytest.raises(ValueError):
+        is_pseudorandom(g, eps, p, mode, seed=1, trials=5)
 
 
 def test_sampled_mode_validation():

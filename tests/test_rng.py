@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hypermatch.rng import GOLDEN, MASK64, Rng, mix64, substream, substreams, u64_blocks
+from hypermatch import rng
+from hypermatch.rng import GOLDEN, MASK64, Rng, mix64, permutations, substream, substreams, u64_blocks
 
 # reference SplitMix64 outputs for seed 0 (widely published test vector)
 SPLITMIX64_SEED0 = (
@@ -81,21 +82,43 @@ def test_shuffle_matches_scalar_fisher_yates(size):
         assert fast.u64() == slow.u64()
 
 
-class _NearTopBlock(Rng):
-    """Puts a word that below() may reject at the front of every block."""
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 241, 17153])
+@pytest.mark.parametrize("count", [1, 2])
+def test_permutations_match_scalar_permutations(size, count):
+    keys = [0, 1, MASK64]
+    vector = substreams(-5, range(3))
+    for drawn_keys in (keys, vector):
+        drawn = list(permutations(drawn_keys, size, count))
+        assert len(drawn) == len(drawn_keys)
+        for key, shuffles in zip(np.asarray(drawn_keys, dtype=np.uint64).tolist(), drawn):
+            scalar = Rng(key)
+            assert shuffles == [scalar.permutation(size) for _ in range(count)]
 
-    def u64_block(self, count):
-        words = super().u64_block(count)
-        words[:1] = MASK64
+
+def test_permutations_fall_back_to_scalar_draws(monkeypatch):
+    """A row holding a word below() may reject is redrawn whole by Rng; the
+    other rows keep their block draws."""
+    unpatched = rng.u64_blocks
+    redraws = []
+
+    def near_top(keys, count, start=0):
+        words = unpatched(keys, count, start)
+        words[1, :1] = MASK64
         return words
 
+    class CountingRng(Rng):
+        def __init__(self, key):
+            super().__init__(key)
+            redraws.append(key)
 
-def test_shuffle_falls_back_to_scalar_draws():
-    fast, slow = _NearTopBlock(9), Rng(9)
-    a, b = list(range(50)), list(range(50))
-    fast.shuffle(a)
-    _scalar_shuffle(slow, b)
-    assert a == b and fast.counter == slow.counter
+    monkeypatch.setattr(rng, "u64_blocks", near_top)
+    monkeypatch.setattr(rng, "Rng", CountingRng)
+    keys = [9, 10, 11]
+    drawn = list(permutations(keys, 50, 2))
+    assert redraws == [10]
+    for key, shuffles in zip(keys, drawn):
+        scalar = Rng(key)
+        assert shuffles == [scalar.permutation(50) for _ in range(2)]
 
 
 def test_choose_distinct_and_in_range():

@@ -72,6 +72,13 @@ def test_partition_shapes():
     assert all(len(part) == 1 for part in singles.parts)
 
 
+@pytest.mark.parametrize("seed", [-3, 0, 1, 2024, 2**64 + 9])
+def test_partition_cuts_the_scalar_permutation(seed):
+    perm = Rng(seed).permutation(60)
+    expected = [perm[j * 20:(j + 1) * 20] for j in range(3)]
+    assert sample_balanced_partition(60, 3, seed).parts == tuple(tuple(sorted(part)) for part in expected)
+
+
 def test_partition_requires_divisibility():
     with pytest.raises(ValueError):
         sample_balanced_partition(7, 3, 0)
@@ -222,6 +229,12 @@ def test_concentration_empty_graph():
     assert not report.ok
     assert report.offender is not None and report.offender_codegree == 0
     assert h.codegree(report.offender) == 0
+
+
+@pytest.mark.parametrize("p, eps", [(math.nan, 0.1), (0.5, math.nan), (0.5, math.inf), (1.5, 0.1), (-0.1, 0.1)])
+def test_concentration_rejects_non_finite_or_bad_density(p, eps):
+    with pytest.raises(ValueError):
+        check_codegree_concentration(complete(10), p, eps)
 
 
 def test_concentration_offender_recomputes():
