@@ -85,20 +85,20 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    # the scan is sequential: edges as index positions of their k subsets,
-    # co-degrees as plain ints in a list
-    slots = hypergraph._edge_slots().tolist()
+    # the scan is sequential: edges in scan order as index positions of their
+    # k subsets, co-degrees as plain ints in a list
+    slots = hypergraph._edge_slots()
+    order = permutations([Rng(seed).key], len(slots))[0, 0]
     counts = hypergraph._degrees().tolist()
-    [order] = next(permutations([Rng(seed).key], len(slots)))
-    removed = bytearray(len(slots))
-    for e in order:
-        subsets = slots[e]
+    removed = bytearray(len(slots))  # by scan position
+    for e, subsets in enumerate(slots[order].tolist()):
         if min(map(counts.__getitem__, subsets)) > threshold:
             for x in subsets:
                 counts[x] -= 1
             removed[e] = 1
-    kept = hypergraph.edge_array[~np.frombuffer(removed, dtype=bool)]
-    result = Hypergraph._trusted(hypergraph.n, hypergraph.k, kept)
+    deleted = np.zeros(len(slots), dtype=bool)
+    deleted[order] = np.frombuffer(removed, dtype=bool)
+    result = Hypergraph._trusted(hypergraph.n, hypergraph.k, hypergraph.edge_array[~deleted])
     return AdversaryOutcome(
         result=result,
         deleted=len(slots) - result.edge_count(),

@@ -225,6 +225,17 @@ class BalancedPartition:
         self.parts = norm
         self.assignment = tuple(assignment)
 
+    @classmethod
+    def _trusted(cls, perm: np.ndarray, k: int) -> "BalancedPartition":
+        """Internal fast path: parts cut as k consecutive blocks of a
+        permutation of [0, n), k dividing n."""
+        parts = np.sort(perm.reshape(k, -1), axis=1)
+        assignment = np.empty(len(perm), dtype=np.int64)
+        assignment[parts] = np.arange(k)[:, None]
+        obj = object.__new__(cls)
+        obj.parts, obj.assignment = tuple(map(tuple, parts.tolist())), tuple(assignment.tolist())
+        return obj
+
     @property
     def n(self) -> int:
         return len(self.assignment)
@@ -308,11 +319,13 @@ class PartiteHypergraph:
         included; every edge is transversal, so that is the co-degree of X."""
         return self._row_table()[2]
 
-    def _row_table(self) -> tuple[list[int], list[int], int]:
+    def _row_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(position, masks, delta*), built on first use: ``position[v]`` is
-        v's index inside its part, and bit v of ``masks[sum_j p_j * m^(k-2-j)]``
-        is set exactly when last-part position v completes the transversal
-        tuple with positions p_0..p_{k-2} in parts 0..k-2 to an edge."""
+        v's index inside its part, and bit v of the int
+        ``masks[sum_j p_j * m^(k-2-j)]`` (an object array, so one fancy index
+        gathers a block of rows) is set exactly when last-part position v
+        completes the transversal tuple with positions p_0..p_{k-2} in parts
+        0..k-2 to an edge."""
         if self._rows is None:
             m, k = self.m, self.k
             position = np.empty(self.n, dtype=np.int64)
@@ -331,10 +344,10 @@ class PartiteHypergraph:
             packed = np.zeros(m ** (k - 1) * 8 * words, dtype=np.uint8)
             np.add.at(packed, index * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
             table = packed.view("<u8").reshape(-1, words).T
-            masks = table[0].tolist()
+            masks = table[0].astype(object)  # Python ints, so masks wider than 64 bits join exactly
             for w in range(1, words):
-                masks = [mask | high << 64 * w for mask, high in zip(masks, table[w].tolist())]
-            self._rows = (position.tolist(), masks, dstar)
+                masks |= table[w].astype(object) << 64 * w
+            self._rows = (position, masks, dstar)
         return self._rows
 
     def __repr__(self) -> str:

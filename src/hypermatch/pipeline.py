@@ -13,8 +13,9 @@ d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
    auxiliary graph has a perfect matching wins. Attempt t draws pi from its
-   own substream; rng.permutations shuffles each doubling block of attempts
-   (1, 2-3, 4-7, ..., at most 1,024) at once. Rows are bitmasks, and each
+   own substream; rng.permutations draws each doubling block of attempts
+   (1, 2-3, 4-7, ..., at most 1,024) as one array, and the block's rows are
+   gathered from the row table at once. Rows are bitmasks, and each
    attempt is decided by an exact bitset perfect-or-not test; Hopcroft-Karp
    runs only on the winner, whose matching is translated, and on the last
    attempt of a failed search, whose maximum matching yields the Hall
@@ -63,6 +64,10 @@ _LABEL_PI = 2
 
 # attempts per block of family draws: bounds the draw's memory for any budget
 _MAX_BLOCK = 1024
+# families per mask gather: a quarter of a full block keeps the gathered
+# object rows and their lists smaller than the draw's word block (gathering
+# whole blocks read ~0.3 MB more peak RSS in n=60 parity trials)
+_GATHER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -86,25 +91,28 @@ def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> Bi
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
     position, _, _ = partite._row_table()
-    return BipartiteGraph._from_masks(
-        _auxiliary_masks(partite, [[position[v] for v in perm] for perm in family.maps]))
+    [masks] = _block_masks(partite, position[np.asarray(family.maps)][None])
+    return BipartiteGraph._from_masks(masks)
 
 
-def _auxiliary_masks(partite: PartiteHypergraph, local: list[list[int]]) -> list[int]:
-    """Row bitmasks of the auxiliary graph of the family putting
-    parts[j][local[j][i]] in row i, identity past len(local); run per
-    attempt, so it only indexes lists."""
+def _block_masks(partite: PartiteHypergraph, local: np.ndarray) -> Iterator[list[int]]:
+    """Row bitmasks of the auxiliary graph of each family in a block, in
+    turn: family b puts parts[j][local[b, j, i]] in row i, identity past
+    local.shape[1]. One row index serves the whole block; the rows are
+    gathered from the row table _GATHER_ROWS families at a time."""
     _, table, _ = partite._row_table()
     m = partite.m
-    index = local[0]
+    index = local[:, 0]
     for j in range(1, partite.k - 1):
-        index = [i * m + p for i, p in zip(index, local[j] if j < len(local) else range(m))]
-    return [table[i] for i in index]
+        index = index * m
+        index += local[:, j] if j < local.shape[1] else np.arange(m)
+    for start in range(0, len(index), _GATHER_ROWS):
+        yield from table[index[start:start + _GATHER_ROWS]].tolist()
 
 
-def _family_at(partite: PartiteHypergraph, local: list[list[int]]) -> PermutationFamily:
-    """The vertex family of part-local positions as _auxiliary_masks reads them."""
-    maps = tuple(tuple(part[p] for p in perm) for part, perm in zip(partite.parts, local))
+def _family_at(partite: PartiteHypergraph, local: np.ndarray) -> PermutationFamily:
+    """The vertex family of part-local positions as _block_masks reads them."""
+    maps = tuple(tuple(part[p] for p in perm) for part, perm in zip(partite.parts, local.tolist()))
     return PermutationFamily(maps + partite.parts[len(local):-1])
 
 
@@ -141,15 +149,16 @@ class PiSearch:
     degree_target: Optional[float] = None
 
 
-def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[list[list[int]]]:
-    """Part-local positions of attempts 1..budget, yielded one at a time:
-    attempt t is ``shuffles`` successive ``Rng.permutation(m)`` draws of the
-    stream substream(seed, t), drawn by rng.permutations in doubling blocks
-    of attempts (1, 2-3, 4-7, ...) of at most _MAX_BLOCK."""
+def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[np.ndarray]:
+    """Part-local positions of attempts 1..budget as (B, shuffles, m) blocks,
+    B doubling (1, 2-3, 4-7, ...) up to _MAX_BLOCK: row t of the
+    concatenated blocks is attempt t + 1, the ``shuffles`` successive
+    ``Rng.permutation(m)`` draws of the stream substream(seed, t + 1), all
+    drawn by one rng.permutations call per block."""
     first = 1
     while first <= budget:
         stop = min(2 * first, first + _MAX_BLOCK, budget + 1)
-        yield from permutations(substreams(seed, np.arange(first, stop, dtype=np.uint64)), m, shuffles)
+        yield permutations(substreams(seed, np.arange(first, stop, dtype=np.uint64)), m, shuffles)
         first = stop
 
 
@@ -163,11 +172,11 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     others at the identity; "full-random" randomizes all k-1. Attempt t
     shuffles each randomized part with the stream substream(seed, t), so
     retries are independent and the search is deterministic in (inputs,
-    seed). rng.permutations draws a block of attempts at once
-    (_drawn_positions), and each attempt is decided on row bitmasks by
-    bipartite._is_perfect. Only the winner is built as vertices;
-    Hopcroft-Karp runs once, on the winner or on the last attempt of a
-    failed search.
+    seed). Families come as block arrays of attempts (_drawn_positions),
+    and each block's auxiliary rows are gathered at once
+    (_block_masks); per attempt, only bipartite._is_perfect runs on the
+    row bitmasks. Only the winner is built as vertices; Hopcroft-Karp runs
+    once, on the winner or on the last attempt of a failed search.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
@@ -175,13 +184,15 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
         raise ValueError(f"unknown strategy {strategy!r}")
     target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
-    for attempt, local in enumerate(_drawn_positions(partite.m, shuffles, seed, budget), 1):
-        masks = _auxiliary_masks(partite, local)
-        if _is_perfect(masks):
-            graph = BipartiteGraph._from_masks(masks)
-            return PiSearch(
-                success=True, family=_family_at(partite, local), matching=max_matching(graph),
-                attempts=attempt, min_degree=graph.min_degree(), degree_target=target)
+    tried = 0
+    for block in _drawn_positions(partite.m, shuffles, seed, budget):
+        for b, masks in enumerate(_block_masks(partite, block)):
+            if _is_perfect(masks):
+                graph = BipartiteGraph._from_masks(masks)
+                return PiSearch(
+                    success=True, family=_family_at(partite, block[b]), matching=max_matching(graph),
+                    attempts=tried + b + 1, min_degree=graph.min_degree(), degree_target=target)
+        tried += len(block)
     graph = BipartiteGraph._from_masks(masks)  # of the last attempt
     return PiSearch(
         success=False, family=None, matching=None, attempts=budget,

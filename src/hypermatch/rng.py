@@ -14,12 +14,13 @@ callers may draw from substreams concurrently without coordination.
 :func:`substreams` derives many substream keys at once and :func:`u64_blocks`
 draws words of many streams as one 2-D block, row r equal to stream r's
 scalar draws; ``Rng.u64_block`` is its one-row case. :func:`permutations`
-shuffles many streams from one block, with ``Rng.shuffle`` its scalar reference.
+shuffles many streams from one block into one (streams, count, size) array,
+with ``Rng.shuffle`` and :func:`apply_swaps` its scalar reference: a long
+stream runs the scalar swaps, a block of many rows applies each swap position
+to every row at once.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 import numpy as np
 
@@ -70,21 +71,43 @@ def apply_swaps(items: list, swaps) -> list:
     return items
 
 
-def permutations(keys, size: int, count: int = 1) -> Iterator[list[list[int]]]:
-    """Per stream key, the ``count`` successive ``Rng(key).permutation(size)``
-    draws, from one word block for all keys; a row holding a word within size
-    of 2**64, where ``Rng.below`` may reject, is redrawn by ``Rng``."""
+# rows from which permutations applies each swap to all rows at once: below
+# it, three numpy calls per position cost more than the scalar swaps they
+# replace (crossover measured at 16-32 rows for sizes 20-241 on a 2-core VM)
+_BLOCK_ROWS = 24
+
+
+def permutations(keys, size: int, count: int = 1) -> np.ndarray:
+    """(len(keys), count, size) int64 array whose [r, c] row is draw c of
+    ``Rng(keys[r]).permutation(size)``, all from one word block; the rows of
+    a key holding a word within size of 2**64, where ``Rng.below`` may
+    reject, are redrawn by ``Rng``."""
     keys = np.asarray(keys, dtype=np.uint64)
     width = max(size - 1, 0)
-    swaps = u64_blocks(keys, count * width).reshape(len(keys), count, width)
-    rejected = (swaps > np.uint64(MASK64 - size)).any(axis=(1, 2)).tolist()
+    swaps = u64_blocks(keys, count * width).reshape(len(keys) * count, width)
+    rejected = np.flatnonzero((swaps > np.uint64(MASK64 - size)).reshape(len(keys), -1).any(axis=1))
     swaps %= np.arange(size, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
-    for key, reject, row in zip(keys.tolist(), rejected, swaps):
-        if reject:
-            rng = Rng(key)
-            yield [rng.permutation(size) for _ in range(count)]
-        else:
-            yield [apply_swaps(list(range(size)), row_swaps) for row_swaps in row.tolist()]
+    rows = len(swaps)
+    if rows < _BLOCK_ROWS:
+        perms = np.array([apply_swaps(list(range(size)), row) for row in swaps.tolist()],
+                         dtype=np.int64).reshape(rows, size)
+    else:
+        # Fisher-Yates one position at a time over every row, on the
+        # transposed block so that each position is one contiguous line
+        lines = np.repeat(np.arange(size, dtype=np.int64)[:, None], rows, axis=1)
+        flat = lines.reshape(-1)
+        swaps *= np.uint64(rows)  # in place, to the flat index of (row, swapped position)
+        swaps += np.arange(rows, dtype=np.uint64)[:, None]
+        for i, where in zip(range(size - 1, 0, -1), swaps.T):
+            held = flat[where]
+            flat[where] = lines[i]
+            lines[i] = held
+        perms = lines.T  # splitting its row axis below makes no copy
+    perms = perms.reshape(len(keys), count, size)
+    for r in rejected.tolist():
+        rng = Rng(int(keys[r]))
+        perms[r] = [rng.permutation(size) for _ in range(count)]
+    return perms
 
 
 def _mix64_array(x: np.ndarray) -> np.ndarray:

@@ -37,9 +37,7 @@ def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
     cut into k consecutive blocks of size n/k."""
     if k <= 0 or n % k:
         raise ValueError("k must be positive and divide n")
-    [perm] = next(permutations([Rng(seed).key], n))
-    m = n // k
-    return BalancedPartition(perm[j * m:(j + 1) * m] for j in range(k))
+    return BalancedPartition._trusted(permutations([Rng(seed).key], n)[0, 0], k)
 
 
 # -- partition quality ------------------------------------------------------

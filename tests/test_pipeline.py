@@ -25,6 +25,7 @@ from hypermatch import (
     sample_hypergraph,
 )
 from hypermatch import bipartite, pipeline, rng
+from hypermatch.experiment import ExperimentConfig, run_trial
 from hypermatch.rng import MASK64, substream
 import oracles
 
@@ -213,16 +214,81 @@ def test_pi_search_parity_graph_matches_one_at_a_time_loop(k, strategy):
 def test_block_draws_equal_scalar_families(k, strategy):
     hp = _differential_partite(5 * k, k, 0.5, k, k)
     shuffles = k - 1 if strategy == STRATEGY_FULL else 1
-    drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, shuffles, 11, 300)]
+    drawn = [pipeline._family_at(hp, local)
+             for block in pipeline._drawn_positions(hp.m, shuffles, 11, 300) for local in block]
     assert drawn == [oracles.family_one_at_a_time(hp, 11, t, strategy) for t in range(1, 301)]
 
 
 def test_block_draws_equal_scalar_families_across_capped_blocks():
     """Blocks stop doubling at 1,024 attempts: 512-1023, 1024-2047, 2048-3071."""
     hp = _differential_partite(6, 3, 0.5, 1, 1)
-    drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, 2, 5, 2100)]
+    drawn = [pipeline._family_at(hp, local) for block in pipeline._drawn_positions(hp.m, 2, 5, 2100) for local in block]
     for t in itertools.chain(range(1000, 1050), range(2030, 2101)):
         assert drawn[t - 1] == oracles.family_one_at_a_time(hp, 5, t, STRATEGY_FULL)
+
+
+@pytest.fixture(scope="module")
+def parity_n60_partite():
+    """The partite graph that trial 0 of the benchmark's parity-n60 config
+    (n=60, p=0.5, eps=0.2, seed 2024) hands to the pi-search: m=20."""
+    seen = []
+
+    def capturing(partite, *args):
+        seen.append(partite)
+        return find_matching_permutations(partite, *args)
+
+    cfg = ExperimentConfig(n=60, k=3, p=0.5, epsilon=0.2, trials=1, base_seed=2024, adversary="parity",
+                           partition_retries=20, pi_budget=1, strategy=STRATEGY_FULL)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "find_matching_permutations", capturing)
+        run_trial(cfg, 0)
+    [partite] = seen
+    assert partite.m == 20
+    return partite
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_pi_search_matches_one_at_a_time_loop_at_benchmark_size(parity_n60_partite, strategy):
+    expected = oracles.pi_search_one_at_a_time(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy)
+    assert not expected.success
+    assert find_matching_permutations(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy) == expected
+
+
+def test_pi_search_matches_one_at_a_time_loop_on_two_word_rows():
+    """k=2 with m=130: every row mask spans two 64-bit words."""
+    hp = induce_partite(parity_adversary(sample_hypergraph(260, 2, 0.5, 3)).result,
+                        sample_balanced_partition(260, 2, 3))
+    assert hp.m == 130
+    expected = oracles.pi_search_one_at_a_time(hp, 0.2, 0.5, 70, 5, STRATEGY_PI1)
+    assert not expected.success
+    assert find_matching_permutations(hp, 0.2, 0.5, 70, 5, STRATEGY_PI1) == expected
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
+    """Per attempt, a 2,000-attempt search runs the bitset decision and
+    nothing else in Python: the scalar swaps run only for the blocks drawn
+    below the block-loop crossover."""
+    swapped, decided = [], []
+    unpatched_swaps, unpatched_decision = rng.apply_swaps, pipeline._is_perfect
+
+    def counting_swaps(items, swaps):
+        swapped.append(len(items))
+        return unpatched_swaps(items, swaps)
+
+    def counting_decision(masks):
+        decided.append(len(masks))
+        return unpatched_decision(masks)
+
+    monkeypatch.setattr(rng, "apply_swaps", counting_swaps)
+    monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
+    assert not find_matching_permutations(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy).success
+    assert decided == [20] * 2000
+    shuffles = 2 if strategy == STRATEGY_FULL else 1
+    sizes = [2**i for i in range(10)] + [2000 - 1023]  # the doubling blocks
+    assert sum(sizes) == 2000
+    below = [size * shuffles for size in sizes if size * shuffles < rng._BLOCK_ROWS]
+    assert 0 < len(swapped) == sum(below) and set(swapped) == {20}
 
 
 def test_block_draw_memory_does_not_grow_with_budget():
@@ -288,7 +354,8 @@ def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
         block_sizes.clear()
         redraws.clear()
         shuffles = 2 if strategy == STRATEGY_FULL else 1
-        drawn = [pipeline._family_at(hp, local) for local in pipeline._drawn_positions(hp.m, shuffles, 4, 9)]
+        drawn = [pipeline._family_at(hp, local)
+                 for block in pipeline._drawn_positions(hp.m, shuffles, 4, 9) for local in block]
         assert drawn == [oracles.family_one_at_a_time(hp, 4, t, strategy) for t in range(1, 10)]
         assert block_sizes == [1, 2, 4, 2]
         assert redraws == [substream(4, 4 + r) for r in rejected]

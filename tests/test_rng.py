@@ -82,22 +82,51 @@ def test_shuffle_matches_scalar_fisher_yates(size):
         assert fast.u64() == slow.u64()
 
 
+def _assert_scalar_rows(keys, drawn, size, count):
+    """drawn is the (len(keys), count, size) int64 block of Rng(key).permutation draws."""
+    assert drawn.shape == (len(keys), count, size) and drawn.dtype == np.int64
+    for key, shuffles in zip(np.asarray(keys, dtype=np.uint64).tolist(), drawn.tolist()):
+        scalar = Rng(key)
+        assert shuffles == [scalar.permutation(size) for _ in range(count)]
+
+
 @pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 241, 17153])
-@pytest.mark.parametrize("count", [1, 2])
+@pytest.mark.parametrize("count", [1, 2, 3])
 def test_permutations_match_scalar_permutations(size, count):
     keys = [0, 1, MASK64]
     vector = substreams(-5, range(3))
     for drawn_keys in (keys, vector):
-        drawn = list(permutations(drawn_keys, size, count))
-        assert len(drawn) == len(drawn_keys)
-        for key, shuffles in zip(np.asarray(drawn_keys, dtype=np.uint64).tolist(), drawn):
-            scalar = Rng(key)
-            assert shuffles == [scalar.permutation(size) for _ in range(count)]
+        _assert_scalar_rows(drawn_keys, permutations(drawn_keys, size, count), size, count)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 20, 241, 17153])
+@pytest.mark.parametrize("count", [1, 2, 3])
+def test_permutations_block_loop_matches_scalar_permutations(monkeypatch, size, count):
+    """Row counts (keys times count) just below, at and above the crossover
+    from the scalar swaps to the swaps applied to every row at once."""
+    calls = []
+    unpatched = rng.apply_swaps
+
+    def counting(items, swaps):
+        calls.append(len(items))
+        return unpatched(items, swaps)
+
+    monkeypatch.setattr(rng, "apply_swaps", counting)
+    crossover = rng._BLOCK_ROWS
+    key_counts = sorted({(crossover - 1) // count, -(-crossover // count), -(-crossover // count) + 1})
+    rows = [n * count for n in key_counts]
+    assert rows[0] < crossover <= rows[1] and crossover <= rows[-1]
+    for n in key_counts:
+        keys = substreams(size, range(n))
+        calls.clear()
+        drawn = permutations(keys, size, count)
+        assert len(calls) == (n * count if n * count < crossover else 0)
+        _assert_scalar_rows(keys, drawn, size, count)
 
 
 def test_permutations_fall_back_to_scalar_draws(monkeypatch):
     """A row holding a word below() may reject is redrawn whole by Rng; the
-    other rows keep their block draws."""
+    other rows keep their block draws, in either loop order."""
     unpatched = rng.u64_blocks
     redraws = []
 
@@ -113,12 +142,11 @@ def test_permutations_fall_back_to_scalar_draws(monkeypatch):
 
     monkeypatch.setattr(rng, "u64_blocks", near_top)
     monkeypatch.setattr(rng, "Rng", CountingRng)
-    keys = [9, 10, 11]
-    drawn = list(permutations(keys, 50, 2))
-    assert redraws == [10]
-    for key, shuffles in zip(keys, drawn):
-        scalar = Rng(key)
-        assert shuffles == [scalar.permutation(50) for _ in range(2)]
+    for keys in ([9, 10, 11], list(range(9, 9 + rng._BLOCK_ROWS))):
+        redraws.clear()
+        drawn = permutations(keys, 50, 2)
+        assert redraws == [10]
+        _assert_scalar_rows(keys, drawn, 50, 2)
 
 
 def test_choose_distinct_and_in_range():

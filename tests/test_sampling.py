@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypermatch import (
+    BalancedPartition,
     Hypergraph,
     check_codegree_concentration,
     partition_worst_deviation,
@@ -77,6 +78,17 @@ def test_partition_cuts_the_scalar_permutation(seed):
     perm = Rng(seed).permutation(60)
     expected = [perm[j * 20:(j + 1) * 20] for j in range(3)]
     assert sample_balanced_partition(60, 3, seed).parts == tuple(tuple(sorted(part)) for part in expected)
+
+
+@pytest.mark.parametrize("n,k", [(6, 3), (60, 3), (240, 3), (12, 4), (10, 2)])
+def test_partition_fast_path_equals_validating_constructor(n, k):
+    m = n // k
+    for seed in range(50):
+        fast = sample_balanced_partition(n, k, seed)
+        perm = Rng(seed).permutation(n)
+        checked = BalancedPartition(perm[j * m:(j + 1) * m] for j in range(k))
+        assert fast.parts == checked.parts and fast.assignment == checked.assignment
+        assert all(type(v) is int for v in fast.parts[0] + fast.assignment)
 
 
 def test_partition_requires_divisibility():
