@@ -87,9 +87,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon {self.epsilon!r} makes the greedy threshold (1/2 + epsilon)*n*p non-finite")
         return math.ceil(bound)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
-
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
         """Parse a config; unknown, missing or wrongly typed fields raise ValueError."""

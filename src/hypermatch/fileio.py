@@ -1,4 +1,4 @@
-"""Text formats for hypergraphs, bipartite graphs, matrices, and matchings.
+"""The text formats the CLI reads and writes.
 
 Hypergraph format: line 1 is "k n"; every following nonempty line that does
 not start with '#' holds one edge as k ascending 0-based vertex ids
@@ -20,7 +20,7 @@ from typing import Union
 
 from .bipartite import BipartiteGraph
 from .extensions import ExtensionMatrix
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Hypergraph
 
 Pathish = Union[str, os.PathLike]
 
@@ -95,13 +95,6 @@ def read_bipartite(path: Pathish) -> BipartiteGraph:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def write_bipartite(path: Pathish, graph: BipartiteGraph) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{graph.m}\n")
-        for row in graph.adjacency:
-            fh.write(" ".join(map(str, row)) + "\n" if row else "-\n")
-
-
 def read_extension_matrix(path: Pathish) -> ExtensionMatrix:
     (m,), lines = _read_header(path, "matrix", "m")
     rows = []
@@ -118,7 +111,3 @@ def write_matching(path: Pathish, matching) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for edge in matching:
             fh.write(" ".join(map(str, edge)) + "\n")
-
-
-def read_matching(path: Pathish) -> tuple[Edge, ...]:
-    return tuple(tuple(_ints(path, lineno, line)) for lineno, line in _data_lines(path))

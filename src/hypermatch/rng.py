@@ -82,6 +82,8 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     ``Rng(keys[r]).permutation(size)``, all from one word block; the rows of
     a key holding a word within size of 2**64, where ``Rng.below`` may
     reject, are redrawn by ``Rng``."""
+    if size < 0:
+        raise ValueError("size must be nonnegative")
     keys = np.asarray(keys, dtype=np.uint64)
     width = max(size - 1, 0)
     swaps = u64_blocks(keys, count * width).reshape(len(keys) * count, width)
@@ -161,6 +163,8 @@ class Rng:
         apply_swaps(items, [self.below(i + 1) for i in range(len(items) - 1, 0, -1)])
 
     def permutation(self, n: int) -> list[int]:
+        if n < 0:
+            raise ValueError("n must be nonnegative")
         items = list(range(n))
         self.shuffle(items)
         return items

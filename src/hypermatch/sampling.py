@@ -37,6 +37,8 @@ def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
     cut into k consecutive blocks of size n/k."""
     if k <= 0 or n % k:
         raise ValueError("k must be positive and divide n")
+    if n <= 0:
+        raise ValueError("n must be positive")
     return BalancedPartition._trusted(permutations([Rng(seed).key], n)[0, 0], k)
 
 

@@ -157,7 +157,7 @@ def test_criterion_5_bound_validity():
                         assert above <= upper.value * (1 + 1e-9), (n, q, t)
                         comparisons += 1
                 for k in range(1, n + 1):
-                    bound = binomial_tail_bound(n, float(q), k, self_test=True)
+                    bound = binomial_tail_bound(n, float(q), k)
                     exact = float(sum(pmf[k:], Fraction(0)))
                     assert exact <= bound.value * (1 + 1e-9), (n, q, k)
                     # no silent clamping: the raw formula value is returned

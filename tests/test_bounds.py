@@ -60,7 +60,7 @@ def test_binomial_bound_example_values():
 
 
 def test_binomial_bound_vacuous_unclamped():
-    big = binomial_tail_bound(20, 0.5, 15, self_test=True)
+    big = binomial_tail_bound(20, 0.5, 15)
     assert big.vacuous and big.value > 1.0
     exact = oracles.exact_binomial_upper(20, Fraction(1, 2), 15)
     assert float(exact) <= big.value
@@ -79,7 +79,9 @@ def test_binomial_self_test_grid():
     for trials in (5, 12, 30):
         for tenths in range(1, 10):
             for threshold in range(1, trials + 1):
-                binomial_tail_bound(trials, tenths / 10, threshold, self_test=True)
+                q = tenths / 10
+                value = binomial_tail_bound(trials, q, threshold).value
+                assert binomial_upper_tail(trials, q, threshold) <= value * (1 + 1e-12) + 1e-300
 
 
 def test_mcdiarmid_example_values():

@@ -2,7 +2,7 @@ import hashlib
 import json
 import math
 import types
-from dataclasses import MISSING
+from dataclasses import MISSING, asdict
 from pathlib import Path
 
 import pytest
@@ -67,7 +67,7 @@ def test_threshold_rule():
 
 def test_config_json_round_trip():
     cfg = small_config(adversary="greedy", greedy_threshold=4)
-    assert exp.ExperimentConfig.from_json(cfg.to_json()) == cfg
+    assert exp.ExperimentConfig.from_json(json.dumps(asdict(cfg))) == cfg
     with pytest.raises(ValueError):
         exp.ExperimentConfig.from_json(json.dumps({"n": 6, "bogus": 1}))
 
@@ -78,7 +78,7 @@ def test_config_json_round_trip():
     ("epsilon", MISSING), ("base_seed", MISSING),
 ])
 def test_config_json_rejects_wrong_types(field, value):
-    data = json.loads(small_config().to_json())
+    data = asdict(small_config())
     if value is MISSING:
         del data[field]
     else:
@@ -88,7 +88,7 @@ def test_config_json_rejects_wrong_types(field, value):
 
 
 def test_config_json_accepts_int_for_float_and_null_for_optional():
-    data = json.loads(small_config().to_json())
+    data = asdict(small_config())
     data.update(p=1, epsilon=1, greedy_threshold=None, v1_size=3)
     cfg = exp.ExperimentConfig.from_json(json.dumps(data))
     assert (cfg.p, cfg.epsilon, cfg.greedy_threshold, cfg.v1_size) == (1, 1, None, 3)

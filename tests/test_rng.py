@@ -63,6 +63,10 @@ def test_permutation_is_a_permutation():
         perm = Rng(seed).permutation(40)
         assert sorted(perm) == list(range(40))
     assert Rng(3).permutation(40) == Rng(3).permutation(40)
+    with pytest.raises(ValueError):
+        Rng(1).permutation(-1)
+    with pytest.raises(ValueError):
+        permutations([0, 1], -2)
 
 
 def _scalar_shuffle(rng, items):

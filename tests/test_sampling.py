@@ -92,8 +92,9 @@ def test_partition_fast_path_equals_validating_constructor(n, k):
 
 
 def test_partition_requires_divisibility():
-    with pytest.raises(ValueError):
-        sample_balanced_partition(7, 3, 0)
+    for n, k in ((7, 3), (0, 3), (-3, 3)):
+        with pytest.raises(ValueError):
+            sample_balanced_partition(n, k, 0)
 
 
 def test_partition_exchangeability():
