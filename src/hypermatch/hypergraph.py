@@ -31,28 +31,47 @@ def _as_vertex(v) -> int:
     return operator.index(v)
 
 
+def _subset_count(n: int, r: int) -> int:
+    """C(n, r); raises ValueError unless rank * n + vertex fits int64."""
+    if math.comb(n, r) * n >= 2**63:
+        raise ValueError(f"C({n}, {r}) * {n} exceeds the int64 range of subset ranks")
+    return math.comb(n, r)
+
+
 def _binomial_table(n: int, r: int) -> np.ndarray:
     """table[a, j] = C(a, j) for a < n, j <= r, capped at C(n, r): ranks read
     no larger entry. Raises ValueError unless rank * n + vertex fits int64."""
-    cap = math.comb(n, r)
-    if cap * n >= 2**63:
-        raise ValueError(f"C({n}, {r}) * {n} exceeds the int64 range of subset ranks")
+    cap = _subset_count(n, r)
     columns = [np.ones(n, dtype=np.int64)]
     for _ in range(r):  # C(a, j) = sum over b < a of C(b, j - 1), each sum below n * cap
         columns.append(np.minimum(np.concatenate(([0], np.cumsum(columns[-1])[:-1])), cap))
     return np.stack(columns, axis=1)
 
 
-def lex_unrank(n: int, r: int, ranks: np.ndarray) -> np.ndarray:
-    """Rows (ascending) of the r-subsets of [n] with the given lexicographic
-    ranks: C(n, r) - 1 - rank = sum_i C(n-1-x_i, r-i) is decoded greedily."""
+def lex_unrank(n: int, r: int, ranks) -> np.ndarray:
+    """Rows (ascending) of the r-subsets of [n] at the given ascending
+    lexicographic ranks, repeats allowed. The subsets under the prefix
+    x_0 < ... < x_j hold ranks [end - C(n-1-x_j, r-1-j), end), with end =
+    C(n, r) - sum_{i<=j} C(n-1-x_i, r-i). The prefixes meeting [ranks[0],
+    ranks[-1]] grow a column at a time; one searchsorted then cuts the ranks
+    into a run per (r-1)-prefix, in which rank t has last member t + n - end.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
     table = _binomial_table(n, r)
-    rest = math.comb(n, r) - 1 - np.asarray(ranks, dtype=np.int64)
-    out = np.empty((len(rest), r), dtype=np.int64)
-    for i in range(r):
-        c = np.searchsorted(table[:, r - i], rest, side="right") - 1
-        out[:, i] = n - 1 - c
-        rest = rest - table[:, r - i][c]
+    lo, hi = ranks[[0, -1]] if len(ranks) else (0, -1)
+    # the prefixes' columns, led by -1 so that cols[-1] + 1 is the least next member
+    cols, end = [np.full(1, -1, dtype=np.int64)], np.full(1, math.comb(n, r))
+    for j in range(r - 1):
+        count = n - r + j - cols[-1]  # x_j <= n-r+j leaves room for the rest
+        parent = np.repeat(np.arange(len(count)), count)
+        column = np.arange(len(parent)) + np.repeat(cols[-1] + 1 - np.cumsum(count) + count, count)
+        end = end[parent] - table[n - 1 - column, r - j]
+        keep = (end > lo) & (end - table[n - 1 - column, r - 1 - j] <= hi)
+        cols, end = [c[parent[keep]] for c in cols] + [column[keep]], end[keep]
+    # the kept prefixes tile an interval of ranks that holds them all
+    counts = np.diff(np.searchsorted(ranks, end), prepend=0)
+    out = np.repeat(np.column_stack(cols[1:] + [n - end]), counts, axis=0)
+    out[:, -1] += ranks
     return out
 
 
@@ -107,8 +126,9 @@ class Hypergraph:
         self._finish_init(n, k, _normalize_edges(n, k, edges))
 
     def _finish_init(self, n: int, k: int, edge_array: np.ndarray) -> None:
-        # one sort of rank * n + completion; keys start at pair 0 (ranks >= 0) and rank changes
-        ranks = np.sort(_subset_ranks(n, edge_array) * n + edge_array.T, axis=None)
+        # one sort of rank * n + completion, in place; keys start at pair 0 (ranks >= 0) and rank changes
+        ranks = (_subset_ranks(n, edge_array) * n + edge_array.T).reshape(-1)
+        ranks.sort()
         completions = ranks % n
         ranks //= n
         starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])

@@ -4,9 +4,10 @@ Given a k-uniform hypergraph H with k | n, the pipeline
 
 a. derives the partition tolerance alpha = eps / (1 + 2*eps), the largest
    value with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2 (met with equality);
-b. samples balanced partitions and scores them in packed blocks, keeping
-   the first whose co-degree split passes at alpha, else the best effort
-   partition seen (small instances rarely pass; matching success decides);
+b. draws the balanced partitions of every retry as one permutation block
+   and scores them in packed blocks, keeping the first whose co-degree
+   split passes at alpha, else the best effort partition seen (small
+   instances rarely pass; matching success decides);
 c. induces the k-partite restriction H' and records its minimum transversal
    co-degree, counted in the pass that builds the row bitmasks of step d;
 d. searches permutation families pi: rows i of the auxiliary bipartite
@@ -44,6 +45,7 @@ from .bipartite import (
     max_matching,
 )
 from .hypergraph import (
+    BalancedPartition,
     Edge,
     Hypergraph,
     MatchingCheck,
@@ -52,7 +54,7 @@ from .hypergraph import (
     induce_partite,
 )
 from .rng import permutations, substream, substreams
-from .sampling import sample_balanced_partition, score_partitions
+from .sampling import score_partitions
 
 STRATEGY_PI1 = "pi1-only"
 STRATEGY_FULL = "full-random"
@@ -248,8 +250,9 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
     alpha = partition_tolerance(eps)
 
     partition_seed = substream(seed, _LABEL_PARTITION)
-    candidates = (sample_balanced_partition(hypergraph.n, hypergraph.k, substream(partition_seed, retry))
-                  for retry in range(cfg.partition_retries))
+    # retry t draws sample_balanced_partition(n, k, substream(partition_seed, t))
+    perms = permutations(substreams(partition_seed, np.arange(cfg.partition_retries)), hypergraph.n)
+    candidates = (BalancedPartition._trusted(perm, hypergraph.k) for perm in perms[:, 0])
     best_partition = best_deviation = None
     for attempts, (candidate, deviation) in enumerate(score_partitions(hypergraph, candidates), 1):
         if best_deviation is None or deviation < best_deviation:

@@ -82,6 +82,8 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     ``Rng(keys[r]).permutation(size)``, all from one word block; the rows of
     a key holding a word within size of 2**64, where ``Rng.below`` may
     reject, are redrawn by ``Rng``."""
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     if size < 0:
         raise ValueError("size must be nonnegative")
     keys = np.asarray(keys, dtype=np.uint64)

@@ -2,7 +2,9 @@
 
 The binomial hypergraph sampler enumerates all C(n, k) subsets and spends
 one uniform draw on each, so the output is a pure function of
-(n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly.
+(n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly. It
+draws the words a chunk of ranks at a time and keeps only the hits, so it
+takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .hypergraph import BalancedPartition, Edge, Hypergraph, lex_unrank
-from .rng import Rng, permutations
+from .hypergraph import BalancedPartition, Edge, Hypergraph, _subset_count, lex_unrank
+from .rng import Rng, permutations, u64_blocks
+
+_CHUNK = 1 << 16  # ranks whose words the sampler draws and compares at once
 
 
 def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -28,8 +32,22 @@ def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
         raise ValueError("p must lie in [0, 1]")
     if k < 2 or n < k:
         raise ValueError("need n >= k >= 2")
-    mask = Rng(seed).uniform_block(math.comb(n, k)) < p
-    return Hypergraph._trusted(n, k, lex_unrank(n, k, np.flatnonzero(mask)))
+    # C(n, k) is refused before any word is drawn; the ranks are freed before the index is built
+    return Hypergraph._trusted(n, k, lex_unrank(n, k, _edge_ranks(_subset_count(n, k), p, seed)))
+
+
+def _edge_ranks(total: int, p: float, seed: int) -> np.ndarray:
+    """Ascending ranks t < total whose word w, draw t of the seed's stream,
+    has (w >> 11) * 2**-53 < p; drawn and compared a chunk of ranks at a time."""
+    if p == 1.0:
+        return np.arange(total)
+    # u = w >> 11 is below 2**53, so u * 2**-53 is exact, and so is p * 2**53.
+    # For integer u, u * 2**-53 < p exactly when u < ceil(p * 2**53), that is
+    # when w < ceil(p * 2**53) << 11, a threshold that fits a word for p < 1
+    threshold, key = np.uint64(math.ceil(p * 2**53) << 11), Rng(seed).key
+    return np.concatenate([
+        np.flatnonzero(u64_blocks((key,), min(_CHUNK, total - start), start)[0] < threshold) + start
+        for start in range(0, total, _CHUNK)])
 
 
 def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:

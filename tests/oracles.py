@@ -23,6 +23,28 @@ def complete_edges(n, k):
     return list(itertools.combinations(range(n), k))
 
 
+def lex_unrank_greedy(n, r, ranks):
+    """Rows of the r-subsets of [n] at the given lexicographic ranks, in any
+    order, a column at a time: C(n, r) - 1 - rank = sum_i C(n-1-x_i, r-i) is
+    decoded greedily against a table of C(a, j), capped at C(n, r)."""
+    cap = math.comb(n, r)
+    table = np.array([[min(math.comb(a, j), cap) for j in range(r + 1)] for a in range(n)], dtype=np.int64)
+    rest = cap - 1 - np.asarray(ranks, dtype=np.int64)
+    out = np.empty((len(rest), r), dtype=np.int64)
+    for i in range(r):
+        c = np.searchsorted(table[:, r - i], rest, side="right") - 1
+        out[:, i] = n - 1 - c
+        rest = rest - table[c, r - i]
+    return out
+
+
+def sample_by_full_block(n, k, p, seed):
+    """edge_array of H(n, k, p) drawn in one piece: a float uniform per
+    k-subset from a single block of C(n, k) words, then the greedy decoder."""
+    mask = Rng(seed).uniform_block(math.comb(n, k)) < p
+    return lex_unrank_greedy(n, k, np.flatnonzero(mask))
+
+
 def codegree_by_enumeration(edges, subset):
     s = set(subset)
     return sum(1 for e in edges if s.issubset(e))

@@ -265,8 +265,8 @@ def test_non_finite_parameters_are_one_line_errors(tmp_path, capsys, argv):
 
 
 def test_oversized_sample_is_one_line_error(tmp_path, capsys):
-    # C(100000, 3) uniform words need 1.18 PiB: the allocation is refused
-    # outright, before any memory is touched
+    # C(100000, 3) * 100000 exceeds the int64 range of subset ranks, so the
+    # sampler refuses it before it draws a single word
     code, _, err = run_cli(capsys, "gen", "--n", "100000", "--k", "3", "--p", "0.001",
                            "--seed", "1", "--out", str(tmp_path / "h.txt"))
     assert code == 1

@@ -112,11 +112,27 @@ def test_rank_overflow_rejected_at_construction():
         Hypergraph(10**7, 4, [])
 
 
-@pytest.mark.parametrize("n,r", [(1, 1), (7, 1), (7, 3), (9, 9), (12, 5)])
+@pytest.mark.parametrize("n,r", [(1, 1), (7, 1), (7, 3), (9, 9), (12, 5), (80, 79), (80, 80)])
 def test_lex_unrank_matches_combinations(n, r):
     expected = list(itertools.combinations(range(n), r))
     got = hg.lex_unrank(n, r, np.arange(len(expected)))
     assert [tuple(row) for row in got.tolist()] == expected
+
+
+@pytest.mark.parametrize("n,r", [(n, r) for n in (5, 9, 40) for r in range(1, 6)]
+                         + [(3000, 1), (3000, 2), (300, 3), (100, 4), (60, 5)])
+def test_lex_unrank_matches_greedy_decoder(n, r):
+    total, rng = math.comb(n, r), np.random.default_rng(n * 10 + r)
+    for size in (0, 1, 2, 50, 2000):
+        ranks = np.sort(rng.integers(0, total, size))
+        ranks = np.sort(np.concatenate([ranks, ranks[: size // 4], [0, total - 1][: min(size, 2)]]))
+        assert np.array_equal(hg.lex_unrank(n, r, ranks), oracles.lex_unrank_greedy(n, r, ranks))
+
+
+@pytest.mark.parametrize("n,r,rank", [(50_000, 3, 12_345_678_901_234), (2_000, 5, 2_000_000_000_000)])
+def test_lex_unrank_single_rank_is_cheap(n, r, rank):
+    # one rank keeps one prefix per column; all C(n-1, r-1) prefixes would not fit
+    assert np.array_equal(hg.lex_unrank(n, r, [rank]), oracles.lex_unrank_greedy(n, r, [rank]))
 
 
 # -- co-degree queries ---------------------------------------------------------

@@ -477,6 +477,24 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
             outcome.partition_worst_deviation, chosen[0]) == expected
 
 
+@pytest.mark.parametrize("retries", [1, 23, 24, 50])
+def test_partition_retries_are_the_per_retry_partitions(retries, monkeypatch):
+    # one permutation block holds every retry: scalar rows below 24 keys, block rows from 24
+    h, seed, score = sample_hypergraph(30, 3, 0.5, 4), 9, pipeline.score_partitions
+    seen = []
+
+    def score_and_record(hypergraph, partitions):
+        for partition, deviation in score(hypergraph, partitions):
+            seen.append(partition)
+            yield partition, deviation
+
+    monkeypatch.setattr(pipeline, "score_partitions", score_and_record)
+    find_perfect_matching(h, 1e-6, PipelineConfig(partition_retries=retries), seed=seed)
+    partition_seed = substream(seed, pipeline._LABEL_PARTITION)
+    expected = [sample_balanced_partition(30, 3, substream(partition_seed, r)) for r in range(retries)]
+    assert [(p.parts, p.assignment) for p in seen] == [(p.parts, p.assignment) for p in expected]
+
+
 def test_hall_equivalence_exhaustive_m2():
     # quick slice of the acceptance criterion: all 16 graphs on 2 + 2 vertices
     from hypermatch import BipartiteGraph

@@ -67,6 +67,9 @@ def test_permutation_is_a_permutation():
         Rng(1).permutation(-1)
     with pytest.raises(ValueError):
         permutations([0, 1], -2)
+    for size in (0, 1, 3):
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            permutations([1, 2], size, -1)
 
 
 def _scalar_shuffle(rng, items):

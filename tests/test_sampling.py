@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypermatch import (
     verify_partition,
 )
 
+from hypermatch import sampling
 from hypermatch.rng import Rng
 from hypermatch.sampling import _part_counts, score_partitions
 
@@ -61,6 +63,63 @@ def test_sampler_edges_are_the_drawn_subsets(n, k, p):
         mask = Rng(seed).uniform_block(math.comb(n, k)) < p
         expected = tuple(itertools.compress(itertools.combinations(range(n), k), mask))
         assert sample_hypergraph(n, k, p, seed).edges == expected
+
+
+GRID_P = [0.0, 5e-324, 2**-53, 0.2, 0.5, 1 - 2**-53, 1.0]
+
+
+# C(n, k) just below and just above one chunk, and over several chunks
+@pytest.mark.parametrize("n,k", [(362, 2), (363, 2), (600, 2), (74, 3), (75, 3), (100, 3),
+                                 (36, 4), (37, 4), (40, 4), (25, 5), (26, 5), (30, 5)])
+def test_chunked_sampler_matches_full_block(n, k):
+    for p in GRID_P:
+        for seed in (0, 11):
+            assert np.array_equal(sample_hypergraph(n, k, p, seed).edge_array,
+                                  oracles.sample_by_full_block(n, k, p, seed))
+
+
+@pytest.mark.parametrize("chunk_of", [lambda c: c - 1, lambda c: c, lambda c: c + 1, lambda c: c // 3],
+                         ids=["above-one", "at-one", "below-one", "above-three"])
+def test_chunk_edges_match_full_block(chunk_of, monkeypatch):
+    # C(n, k) just above, at and just below one chunk, and just above three
+    for n, k in [(20, 2), (12, 3), (13, 5)]:
+        monkeypatch.setattr(sampling, "_CHUNK", chunk_of(math.comb(n, k)))
+        for p in GRID_P:
+            assert np.array_equal(sample_hypergraph(n, k, p, 3).edge_array,
+                                  oracles.sample_by_full_block(n, k, p, 3))
+
+
+@pytest.mark.parametrize("p", GRID_P)
+def test_integer_threshold_agrees_with_float_compare_at_boundary(p, monkeypatch):
+    # both ends of the last u below ceil(p * 2**53) and of the first u at it
+    top = math.ceil(p * 2**53)
+    words = np.array([w for u in (top - 1, top) for w in (u << 11, (u << 11) + 2047) if 0 <= w < 2**64],
+                     dtype=np.uint64)
+    monkeypatch.setattr(sampling, "u64_blocks", lambda keys, count, start: words[None, start:start + count])
+    expected = np.flatnonzero((words >> np.uint64(11)) * 2.0**-53 < p)
+    assert len(words) >= 2 and np.array_equal(sampling._edge_ranks(len(words), p, 0), expected)
+
+
+@pytest.mark.parametrize("n,k", [(3_000_000, 2), (100_000, 3)])
+def test_impossible_subset_count_refused_before_drawing(n, k, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(sampling, "u64_blocks", no_draw)
+    with pytest.raises(ValueError, match="int64 range"):
+        sample_hypergraph(n, k, 0.001, 1)
+
+
+def test_sparse_sampler_memory_is_not_per_subset():
+    # C(1000, 3) words alone would take 1,268 MiB; the edges are ~17k rows
+    tracemalloc.start()
+    try:
+        h = sample_hypergraph(1000, 3, 1e-4, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < h.edge_count() < 30_000
+    assert peak < 64 * 2**20
 
 
 # -- balanced partitions -------------------------------------------------------
