@@ -50,28 +50,27 @@ def _binomial_table(n: int, r: int) -> np.ndarray:
 
 def lex_unrank(n: int, r: int, ranks) -> np.ndarray:
     """Rows (ascending) of the r-subsets of [n] at the given ascending
-    lexicographic ranks, repeats allowed. The subsets under the prefix
-    x_0 < ... < x_j hold ranks [end - C(n-1-x_j, r-1-j), end), with end =
-    C(n, r) - sum_{i<=j} C(n-1-x_i, r-i). The prefixes meeting [ranks[0],
-    ranks[-1]] grow a column at a time; one searchsorted then cuts the ranks
-    into a run per (r-1)-prefix, in which rank t has last member t + n - end.
-    """
+    lexicographic ranks, repeats allowed. With no more (r-1)-prefixes than
+    ranks, all are unranked (recursively): prefix x_0 < ... < x_{r-2} holds
+    the ranks from the previous prefix's end up to end = C(n, r) -
+    sum_i C(n-1-x_i, r-i), rank t with last member t + n - end. Fewer ranks
+    are decoded greedily, C(n, r) - 1 - rank = sum_i C(n-1-x_i, r-i), in
+    O(len(ranks)) memory."""
     ranks = np.asarray(ranks, dtype=np.int64)
     table = _binomial_table(n, r)
-    lo, hi = ranks[[0, -1]] if len(ranks) else (0, -1)
-    # the prefixes' columns, led by -1 so that cols[-1] + 1 is the least next member
-    cols, end = [np.full(1, -1, dtype=np.int64)], np.full(1, math.comb(n, r))
-    for j in range(r - 1):
-        count = n - r + j - cols[-1]  # x_j <= n-r+j leaves room for the rest
-        parent = np.repeat(np.arange(len(count)), count)
-        column = np.arange(len(parent)) + np.repeat(cols[-1] + 1 - np.cumsum(count) + count, count)
-        end = end[parent] - table[n - 1 - column, r - j]
-        keep = (end > lo) & (end - table[n - 1 - column, r - 1 - j] <= hi)
-        cols, end = [c[parent[keep]] for c in cols] + [column[keep]], end[keep]
-    # the kept prefixes tile an interval of ranks that holds them all
-    counts = np.diff(np.searchsorted(ranks, end), prepend=0)
-    out = np.repeat(np.column_stack(cols[1:] + [n - end]), counts, axis=0)
-    out[:, -1] += ranks
+    if r > 1 and math.comb(n - 1, r - 1) <= len(ranks):
+        prefixes = lex_unrank(n - 1, r - 1, np.arange(math.comb(n - 1, r - 1)))
+        end = math.comb(n, r) - table[n - 1 - prefixes, np.arange(r, 1, -1)].sum(axis=1)
+        counts = np.diff(np.searchsorted(ranks, end), prepend=0)
+        out = np.repeat(np.column_stack([prefixes, n - end]), counts, axis=0)
+        out[:, -1] += ranks
+        return out
+    rest = math.comb(n, r) - 1 - ranks
+    out = np.empty((len(rest), r), dtype=np.int64)
+    for i in range(r):
+        c = np.searchsorted(table[:, r - i], rest, side="right") - 1
+        out[:, i] = n - 1 - c
+        rest = rest - table[c, r - i]
     return out
 
 

@@ -4,8 +4,8 @@ Given a k-uniform hypergraph H with k | n, the pipeline
 
 a. derives the partition tolerance alpha = eps / (1 + 2*eps), the largest
    value with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2 (met with equality);
-b. draws the balanced partitions of every retry as one permutation block
-   and scores them in packed blocks, keeping the first whose co-degree
+b. draws the balanced partitions of the retries in the doubling blocks of
+   step d and scores them in packed blocks, keeping the first whose co-degree
    split passes at alpha, else the best effort partition seen (small
    instances rarely pass; matching success decides);
 c. induces the k-partite restriction H' and records its minimum transversal
@@ -151,17 +151,17 @@ class PiSearch:
     degree_target: Optional[float] = None
 
 
-def _drawn_positions(m: int, shuffles: int, seed: int, budget: int) -> Iterator[np.ndarray]:
-    """Part-local positions of attempts 1..budget as (B, shuffles, m) blocks,
-    B doubling (1, 2-3, 4-7, ...) up to _MAX_BLOCK: row t of the
-    concatenated blocks is attempt t + 1, the ``shuffles`` successive
-    ``Rng.permutation(m)`` draws of the stream substream(seed, t + 1), all
-    drawn by one rng.permutations call per block."""
-    first = 1
-    while first <= budget:
-        stop = min(2 * first, first + _MAX_BLOCK, budget + 1)
-        yield permutations(substreams(seed, np.arange(first, stop, dtype=np.uint64)), m, shuffles)
-        first = stop
+def _drawn_positions(m: int, shuffles: int, seed: int, count: int, first: int = 1) -> Iterator[np.ndarray]:
+    """Part-local positions of draws first..first+count-1 as (B, shuffles, m)
+    blocks, B doubling (1, 2, 4, ...) up to _MAX_BLOCK: row t of the
+    concatenated blocks is draw first + t, the ``shuffles`` successive
+    ``Rng.permutation(m)`` draws of the stream substream(seed, first + t),
+    all drawn by one rng.permutations call per block."""
+    stop, size = first + count, 1
+    while first < stop:
+        labels = np.arange(first, min(first + size, stop), dtype=np.uint64)
+        yield permutations(substreams(seed, labels), m, shuffles)
+        first, size = first + len(labels), min(2 * size, _MAX_BLOCK)
 
 
 def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Optional[float],
@@ -251,8 +251,8 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
 
     partition_seed = substream(seed, _LABEL_PARTITION)
     # retry t draws sample_balanced_partition(n, k, substream(partition_seed, t))
-    perms = permutations(substreams(partition_seed, np.arange(cfg.partition_retries)), hypergraph.n)
-    candidates = (BalancedPartition._trusted(perm, hypergraph.k) for perm in perms[:, 0])
+    candidates = (BalancedPartition._trusted(perm, hypergraph.k) for block in _drawn_positions(
+        hypergraph.n, 1, partition_seed, cfg.partition_retries, first=0) for perm in block[:, 0])
     best_partition = best_deviation = None
     for attempts, (candidate, deviation) in enumerate(score_partitions(hypergraph, candidates), 1):
         if best_deviation is None or deviation < best_deviation:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,15 +125,31 @@ def test_lex_unrank_matches_combinations(n, r):
 def test_lex_unrank_matches_greedy_decoder(n, r):
     total, rng = math.comb(n, r), np.random.default_rng(n * 10 + r)
     for size in (0, 1, 2, 50, 2000):
-        ranks = np.sort(rng.integers(0, total, size))
-        ranks = np.sort(np.concatenate([ranks, ranks[: size // 4], [0, total - 1][: min(size, 2)]]))
-        assert np.array_equal(hg.lex_unrank(n, r, ranks), oracles.lex_unrank_greedy(n, r, ranks))
+        # over the whole range with both ends, then inside a window [a, b], 0 < a <= b < total - 1
+        a = int(rng.integers(1, total - 1)) if total > 2 else 0
+        b = int(rng.integers(a, total - 1)) if total > 2 else total - 1
+        for ranks, ends in [(rng.integers(0, total, size), [0, total - 1][: min(size, 2)]),
+                            (rng.integers(a, b + 1, size), [])]:
+            ranks = np.sort(np.concatenate([ranks, ranks[: size // 4], ends]).astype(np.int64))
+            assert np.array_equal(hg.lex_unrank(n, r, ranks), oracles.lex_unrank_greedy(n, r, ranks))
 
 
-@pytest.mark.parametrize("n,r,rank", [(50_000, 3, 12_345_678_901_234), (2_000, 5, 2_000_000_000_000)])
-def test_lex_unrank_single_rank_is_cheap(n, r, rank):
-    # one rank keeps one prefix per column; all C(n-1, r-1) prefixes would not fit
-    assert np.array_equal(hg.lex_unrank(n, r, [rank]), oracles.lex_unrank_greedy(n, r, [rank]))
+@pytest.mark.parametrize("n,r,ranks", [
+    (50_000, 3, [12_345_678_901_234]),
+    (2_000, 5, [2_000_000_000_000]),
+    (50_000, 3, [0, math.comb(50_000, 3) - 1]),
+    (3_000, 4, np.sort(np.random.default_rng(4).integers(0, math.comb(3_000, 4), 1000)))])
+def test_lex_unrank_sparse_ranks_are_cheap(n, r, ranks):
+    # fewer ranks than the C(n-1, r-1) prefixes (1.2e9 at n=50,000, r=3) are
+    # decoded one by one: the peak is a few copies of the n x (r+1) binomial table
+    tracemalloc.start()
+    try:
+        got = hg.lex_unrank(n, r, ranks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, oracles.lex_unrank_greedy(n, r, ranks))
+    assert peak < 8 * n * (r + 1) * 8
 
 
 # -- co-degree queries ---------------------------------------------------------

@@ -303,6 +303,21 @@ def test_block_draw_memory_does_not_grow_with_budget():
     assert peak(2**16) < 2 * peak(2000)
 
 
+def test_partition_retry_memory_does_not_grow_with_retries():
+    # retry 0 passes on the complete graph, so later retries are never drawn
+    h = sample_hypergraph(60, 3, 1.0, 0)
+
+    def peak(retries):
+        tracemalloc.start()
+        outcome = find_perfect_matching(h, 1.0, PipelineConfig(partition_retries=retries), seed=2)
+        size = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert outcome.partition_attempts == 1 and outcome.partition_passed
+        return size
+
+    assert peak(10**5) < peak(1) + 2**18
+
+
 @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_pi_search_runs_hopcroft_karp_once(monkeypatch, strategy):
     """Attempts are decided on bitmasks; Hopcroft-Karp runs only on the
@@ -477,9 +492,10 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
             outcome.partition_worst_deviation, chosen[0]) == expected
 
 
-@pytest.mark.parametrize("retries", [1, 23, 24, 50])
+@pytest.mark.parametrize("retries", [1, 2, 3, 31, 55, 70])
 def test_partition_retries_are_the_per_retry_partitions(retries, monkeypatch):
-    # one permutation block holds every retry: scalar rows below 24 keys, block rows from 24
+    # doubling blocks 1, 2, 4, ...: scalar rows below 24 keys, block rows in
+    # the block of retries 31-62 once it holds 24 (55) or all 32 (70)
     h, seed, score = sample_hypergraph(30, 3, 0.5, 4), 9, pipeline.score_partitions
     seen = []
 
