@@ -11,6 +11,7 @@ bound.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -78,23 +79,28 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     """Scan edges in seeded random order, deleting an edge iff every
     (k-1)-subset of it would keep co-degree >= threshold afterwards.
 
-    Only the k subsets of the candidate edge change, so each candidate costs
-    k index updates. The result satisfies
+    Co-degrees only fall, so a subset at or below the threshold stays there;
+    each candidate costs one set-disjointness test against those subsets,
+    and each deletion k index updates. The result satisfies
     min co-degree >= min(input min co-degree, threshold). Order dependent by
     design; parallelize across seeds, not within a run.
     """
+    threshold = operator.index(threshold)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     # the scan is sequential: edges in scan order as index positions of their
-    # k subsets, co-degrees as plain ints in a list
+    # k subsets, co-degrees as plain ints in a list, closed subsets in a set
     slots = hypergraph._edge_slots()
     order = permutations([Rng(seed).key], len(slots))[0, 0]
     counts = hypergraph._degrees().tolist()
+    closed = {x for x, count in enumerate(counts) if count <= threshold}
     removed = bytearray(len(slots))  # by scan position
-    for e, subsets in enumerate(slots[order].tolist()):
-        if min(map(counts.__getitem__, subsets)) > threshold:
+    for e, subsets in enumerate(zip(*slots[order].T.tolist())):
+        if closed.isdisjoint(subsets):
             for x in subsets:
                 counts[x] -= 1
+                if counts[x] == threshold:
+                    closed.add(x)
             removed[e] = 1
     deleted = np.zeros(len(slots), dtype=bool)
     deleted[order] = np.frombuffer(removed, dtype=bool)

@@ -59,6 +59,7 @@ class ExperimentConfig:
     record_timing: bool = False
 
     def validate(self) -> None:
+        self._check_types(asdict(self))
         if self.k < 2 or self.n < self.k or self.n % self.k:
             raise ValueError("need n >= k >= 2 with k dividing n")
         if not 0.0 <= self.p <= 1.0:
@@ -100,14 +101,20 @@ class ExperimentConfig:
         missing = [name for name, f in fields.items() if f.default is MISSING and name not in data]
         if missing:
             raise ValueError(f"missing config fields: {missing}")
+        cls._check_types(data)
+        return cls(**data)
+
+    @classmethod
+    def _check_types(cls, values: dict) -> None:
+        """ValueError unless each value has its field's type; an int passes
+        as a float, a bool only as a bool."""
         hints = typing.get_type_hints(cls)
-        for name, value in data.items():
+        for name, value in values.items():
             allowed = typing.get_args(hints[name]) or (hints[name],)
             allowed += (int,) if float in allowed else ()
             if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
-                expected = fields[name].type
+                expected = cls.__dataclass_fields__[name].type
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
-        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 
 import numpy as np
 import pytest
@@ -141,12 +143,46 @@ def test_greedy_monotonicity(seed):
     assert set(out.result.edges) <= set(h.edges)
 
 
+def assert_scan_by_definition(h, threshold, seed):
+    expected = oracles.greedy_scan_by_definition(h.edges, threshold, seed)
+    out = greedy_budget_adversary(h, threshold, seed)
+    assert out.result.edges == expected
+    assert out.deleted == len(h.edges) - len(expected)
+    completions = oracles.completions_by_enumeration(expected, h.k)  # absent subsets have co-degree 0
+    everywhere = len(completions) == math.comb(h.n, h.k - 1)
+    assert out.residual_min_codegree == (min(map(len, completions.values())) if everywhere else 0)
+    return out
+
+
 @pytest.mark.parametrize("seed", [-3, 0, 1, 2024, 2**64 + 9])
 def test_greedy_scans_in_the_scalar_shuffle_order(seed):
-    h = sample_hypergraph(12, 3, 0.7, 21)
-    for threshold in (3, 5):
-        expected = oracles.greedy_scan_by_definition(h.edges, threshold, seed)
-        assert greedy_budget_adversary(h, threshold, seed).result.edges == expected
+    for n, k, p, graph_seed in [(12, 2, 0.5, 4), (12, 3, 0.7, 21), (10, 4, 0.6, 8), (9, 5, 0.6, 3)]:
+        h = sample_hypergraph(n, k, p, graph_seed)
+        lo, hi = h.codegree_extremes()
+        # from lo on some subsets start at the threshold; from hi on none can drop
+        for threshold in sorted({0, 1, lo - 1, lo, (lo + hi) // 2, hi, hi + 1} - {-1}):
+            out = assert_scan_by_definition(h, threshold, seed)
+            assert out.deleted > 0 or threshold >= lo
+            assert out.deleted == 0 or threshold < hi
+
+
+def test_greedy_scans_by_definition_at_benchmark_scale():
+    h = sample_hypergraph(60, 3, 0.5, 2024)
+    out = assert_scan_by_definition(h, 21, 7)
+    assert out.deleted > 0
+
+
+@pytest.mark.parametrize("threshold", [3.0, 3.5, math.nan, math.inf])
+def test_greedy_rejects_non_integer_threshold(threshold):
+    with pytest.raises(TypeError):
+        greedy_budget_adversary(complete(6), threshold, 0)
+
+
+def test_greedy_takes_a_numpy_threshold_as_a_plain_int():
+    out = greedy_budget_adversary(complete(9), np.int64(3), 77)
+    assert type(out.params["threshold"]) is int
+    assert out.result == greedy_budget_adversary(complete(9), 3, 77).result
+    assert json.loads(json.dumps(out.to_jsonable()))["params"]["threshold"] == 3
 
 
 def test_greedy_deterministic_in_seed():

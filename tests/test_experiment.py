@@ -76,6 +76,8 @@ def test_config_json_round_trip():
     ("n", "6"), ("trials", 2.0), ("base_seed", True), ("k", None), ("p", "1"),
     ("adversary", 3), ("record_timing", 1), ("greedy_threshold", 1.5), ("pi_budget", [10]),
     ("epsilon", MISSING), ("base_seed", MISSING),
+    ("greedy_threshold", math.nan), ("greedy_threshold", 3.5), ("v1_size", 3.0), ("trials", 2.5),
+    ("n", 12.0), ("partition_retries", 2.5),
 ])
 def test_config_json_rejects_wrong_types(field, value):
     data = asdict(small_config())
@@ -83,8 +85,12 @@ def test_config_json_rejects_wrong_types(field, value):
         del data[field]
     else:
         data[field] = value
-    with pytest.raises(ValueError, match=repr(field)):
+    with pytest.raises(ValueError, match=repr(field)) as from_text:
         exp.ExperimentConfig.from_json(json.dumps(data))
+    if value is not MISSING:  # a config built in Python fails the same check before any trial runs
+        with pytest.raises(ValueError) as from_python:
+            exp.run_experiment(exp.ExperimentConfig(**data))
+        assert str(from_python.value) == str(from_text.value)
 
 
 def test_config_json_accepts_int_for_float_and_null_for_optional():
