@@ -5,9 +5,11 @@ Given a k-uniform hypergraph H with k | n, the pipeline
 a. derives the partition tolerance alpha = eps / (1 + 2*eps), the largest
    value with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2 (met with equality);
 b. draws the balanced partitions of the retries in the doubling blocks of
-   step d and scores them in packed blocks, keeping the first whose co-degree
-   split passes at alpha, else the best effort partition seen (small
-   instances rarely pass; matching success decides);
+   step d and keeps the first whose co-degree split passes at alpha, else
+   the first of least worst deviation (small instances rarely pass;
+   matching success decides). sampling.choose_partition bounds each retry
+   on the lowest-degree keys, in packed blocks, and counts every key only
+   for the few retries that can still pass or win;
 c. induces the k-partite restriction H' and records its minimum transversal
    co-degree, counted in the pass that builds the row bitmasks of step d;
 d. searches permutation families pi: rows i of the auxiliary bipartite
@@ -31,6 +33,7 @@ attempt.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -54,7 +57,7 @@ from .hypergraph import (
     induce_partite,
 )
 from .rng import permutations, substream, substreams
-from .sampling import score_partitions
+from .sampling import choose_partition
 
 STRATEGY_PI1 = "pi1-only"
 STRATEGY_FULL = "full-random"
@@ -180,6 +183,7 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
     row bitmasks. Only the winner is built as vertices; Hopcroft-Karp runs
     once, on the winner or on the last attempt of a failed search.
     """
+    budget = operator.index(budget)
     if budget < 1:
         raise ValueError("budget must be at least 1")
     if strategy not in STRATEGIES:
@@ -239,26 +243,23 @@ class PipelineOutcome:
 def find_perfect_matching(hypergraph: Hypergraph, eps: float,
                           config: Optional[PipelineConfig] = None,
                           seed: int = 0) -> PipelineOutcome:
-    """Run the full reduction on a hypergraph with k | n and finite eps > 0."""
+    """Run the full reduction on a hypergraph with k | n and finite eps > 0;
+    partition_retries and pi_budget are integers (operator.index), at least 1."""
     if hypergraph.n % hypergraph.k:
         raise ValueError("k must divide n for a perfect matching to exist")
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
     cfg = config if config is not None else PipelineConfig()
-    if cfg.partition_retries < 1:
+    retries = operator.index(cfg.partition_retries)
+    if retries < 1:
         raise ValueError("partition_retries must be at least 1")
     alpha = partition_tolerance(eps)
 
     partition_seed = substream(seed, _LABEL_PARTITION)
     # retry t draws sample_balanced_partition(n, k, substream(partition_seed, t))
     candidates = (BalancedPartition._trusted(perm, hypergraph.k) for block in _drawn_positions(
-        hypergraph.n, 1, partition_seed, cfg.partition_retries, first=0) for perm in block[:, 0])
-    best_partition = best_deviation = None
-    for attempts, (candidate, deviation) in enumerate(score_partitions(hypergraph, candidates), 1):
-        if best_deviation is None or deviation < best_deviation:
-            best_partition, best_deviation = candidate, deviation
-        if deviation <= alpha:
-            break
+        hypergraph.n, 1, partition_seed, retries, first=0) for perm in block[:, 0])
+    best_partition, best_deviation, attempts = choose_partition(hypergraph, candidates, alpha)
 
     partite = induce_partite(hypergraph, best_partition)
     dstar = partite.min_transversal_codegree()

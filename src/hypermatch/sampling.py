@@ -20,6 +20,7 @@ from .hypergraph import BalancedPartition, Edge, Hypergraph, _subset_count, lex_
 from .rng import Rng, permutations, u64_blocks
 
 _CHUNK = 1 << 16  # ranks whose words the sampler draws and compares at once
+_RETRY_CHUNK = 32  # partition retries bounded on the probe keys at once
 
 
 def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -84,8 +85,10 @@ class PartitionReport:
         return not self.violations
 
 
-def _part_counts(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]):
-    """(partition, counts) in turn; counts[i, s]: completions of key s in part i.
+def _part_counts(n: int, k: int, completions: np.ndarray, offsets: np.ndarray,
+                 partitions: Iterable[BalancedPartition]):
+    """(partition, counts) in turn; counts[i, s]: completions of key s,
+    completions[offsets[s]:offsets[s + 1]], in part i.
 
     Each (partition, part) pair owns a w-bit field, w = bit_length(max
     co-degree), 64 // w to a uint64 word. No part count exceeds its key's
@@ -93,7 +96,7 @@ def _part_counts(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]
     counts a word. Partitions are drawn a block at a time: as many as fill a
     word, or one whose fields spill over several.
     """
-    n, k, degrees = hypergraph.n, hypergraph.k, hypergraph._degrees()
+    degrees = np.diff(offsets)
     width = max(1, int(degrees.max(initial=0)).bit_length())
     per_word = 64 // width
     shifts = np.arange(per_word, dtype=np.uint64)[:, None] * np.uint64(width)
@@ -107,7 +110,7 @@ def _part_counts(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]
         words = []
         for word in range(word_of.max() + 1):
             table = np.where(word_of == word, bits, 0).sum(axis=0, dtype=np.uint64)
-            sums = np.add.reduceat(table[hypergraph._completions], hypergraph._offsets[:-1])
+            sums = np.add.reduceat(table[completions], offsets[:-1])
             words.append((sums >> shifts) & np.uint64((1 << width) - 1))
         counts = np.concatenate(words)[:len(block) * k].astype(np.int64).reshape(len(block), k, len(degrees))
         if (counts.sum(axis=1) != degrees).any():
@@ -119,19 +122,73 @@ def _deviations(degrees: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return np.abs(counts * k / degrees - 1.0)
 
 
-def score_partitions(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition]
-                     ) -> Iterator[tuple[BalancedPartition, float]]:
-    """(partition, partition_worst_deviation) in turn, in packed blocks."""
-    degrees = hypergraph._degrees()
-    for partition, counts in _part_counts(hypergraph, partitions):
-        yield partition, float(_deviations(degrees, counts, hypergraph.k).max(initial=0.0))
+def _worst_deviations(n: int, k: int, completions: np.ndarray, offsets: np.ndarray,
+                      partitions: Iterable[BalancedPartition]) -> Iterator[float]:
+    """Each partition's worst deviation over the given keys, in turn."""
+    degrees = np.diff(offsets)
+    for _, counts in _part_counts(n, k, completions, offsets, partitions):
+        yield float(_deviations(degrees, counts, k).max(initial=0.0))
 
 
 def partition_worst_deviation(hypergraph: Hypergraph, partition: BalancedPartition) -> float:
     """Cheap path of verify_partition: the worst relative deviation only,
-    0.0 when no subset has positive co-degree. score_partitions scores many
-    partitions in packed blocks."""
-    return next(score_partitions(hypergraph, [partition]))[1]
+    0.0 when no subset has positive co-degree."""
+    return next(_worst_deviations(hypergraph.n, hypergraph.k, hypergraph._completions,
+                                  hypergraph._offsets, [partition]))
+
+
+def _probe(completions: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(completions, offsets) of the keys whose co-degree is at most the
+    degree at which the lowest-degree keys, ties included, first hold 1/8
+    of all completions."""
+    degrees = np.diff(offsets)
+    if not len(degrees):
+        return completions, offsets
+    ordered = np.sort(degrees)
+    held = np.cumsum(ordered)
+    keep = degrees <= ordered[np.searchsorted(held, -(-held[-1] // 8))]
+    return completions[np.repeat(keep, degrees)], np.r_[0, np.cumsum(degrees[keep])]
+
+
+def choose_partition(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition],
+                     alpha: float) -> tuple[BalancedPartition, float, int]:
+    """(partition, deviation, attempts) of the retry rule: the first
+    candidate whose partition_worst_deviation is at most alpha, after
+    ``attempts`` candidates, else the first of least deviation, after all.
+
+    An exact branch and bound, _RETRY_CHUNK candidates at a time, whose
+    worst deviations over the probe keys (_probe) are scored in packed
+    blocks. That is a max over a subset of the keys, so a lower bound on the
+    candidate's score. Only a candidate whose bound is at most alpha can
+    pass, and only one whose (bound, attempt) is below the best's
+    (deviation, attempt) can replace it, so only these are scored on every
+    key, in ascending (bound, attempt) order.
+    """
+    n, k = hypergraph.n, hypergraph.k
+    full = (hypergraph._completions, hypergraph._offsets)
+    probe = _probe(*full)
+    best = (math.inf, 0, None)  # (deviation, attempt index, partition)
+    taken, partitions = 0, iter(partitions)
+    while chunk := list(itertools.islice(partitions, _RETRY_CHUNK)):
+        bounds = list(_worst_deviations(n, k, *probe, chunk))
+        scored = {}  # chunk position -> deviation on every key
+
+        def score(i):
+            if i not in scored:
+                [scored[i]] = _worst_deviations(n, k, *full, [chunk[i]])
+            return scored[i]
+
+        for i, bound in enumerate(bounds):
+            if bound <= alpha and score(i) <= alpha:  # every earlier one scored above alpha
+                return chunk[i], scored[i], taken + i + 1
+        for i in sorted(range(len(chunk)), key=bounds.__getitem__):  # stable: ties by attempt
+            if (bounds[i], taken + i) >= best[:2]:
+                break
+            best = min(best, (score(i), taken + i, chunk[i]))
+        taken += len(chunk)
+    if best[2] is None:
+        raise ValueError("need at least one candidate partition")
+    return best[2], best[0], taken
 
 
 def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha: float) -> PartitionReport:
@@ -146,7 +203,8 @@ def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be nonnegative and finite")
     degrees = hypergraph._degrees()
-    counts = next(_part_counts(hypergraph, [partition]))[1]
+    counts = next(_part_counts(hypergraph.n, hypergraph.k, hypergraph._completions,
+                               hypergraph._offsets, [partition]))[1]
     skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(degrees)
     dev = _deviations(degrees, counts, hypergraph.k)
     worst = float(dev.max(initial=0.0))

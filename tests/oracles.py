@@ -214,6 +214,22 @@ def pi_search_one_at_a_time(partite, eps, p, budget, seed, strategy):
                     certificate=hall_certificate(graph, matching), degree_target=target)
 
 
+# -- partition retries ------------------------------------------------------
+
+
+def retry_loop_one_at_a_time(scored, alpha):
+    """(attempts, passed, best deviation, best partition) of the partition
+    retry rule over (deviation, candidate) pairs, one candidate at a time:
+    stop at the first deviation at most alpha, keep the first least one."""
+    best = None
+    for attempt, (deviation, candidate) in enumerate(scored, 1):
+        if best is None or deviation < best[0]:
+            best = (deviation, candidate)
+        if deviation <= alpha:
+            return (attempt, True) + best
+    return (len(scored), False) + best
+
+
 # -- bipartite ----------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from hypermatch import (
@@ -24,8 +25,8 @@ from hypermatch import (
     sample_balanced_partition,
     sample_hypergraph,
 )
-from hypermatch import bipartite, pipeline, rng
-from hypermatch.experiment import ExperimentConfig, run_trial
+from hypermatch import bipartite, pipeline, rng, sampling
+from hypermatch.experiment import ExperimentConfig, derive_trial_hypergraphs, run_trial
 from hypermatch.rng import MASK64, substream
 import oracles
 
@@ -414,6 +415,53 @@ def test_pipeline_rejects_bad_inputs():
         find_perfect_matching(complete(6), 0.1, PipelineConfig(partition_retries=0))
 
 
+def _parity_residual():
+    return parity_adversary(sample_hypergraph(12, 3, 0.8, 1)).result
+
+
+@pytest.mark.parametrize("bad", [2.5, math.nan, math.inf])
+def test_budgets_must_be_integers(bad):
+    residual = _parity_residual()
+    for cfg in (PipelineConfig(partition_retries=bad), PipelineConfig(pi_budget=bad)):
+        with pytest.raises(TypeError):
+            find_perfect_matching(residual, 0.2, cfg, 3)
+    partite = induce_partite(residual, sample_balanced_partition(12, 3, 0))
+    with pytest.raises(TypeError):
+        find_matching_permutations(partite, 0.2, None, bad, 3)
+
+
+def test_budgets_take_numpy_ints_as_plain_ints():
+    residual = _parity_residual()
+    config = PipelineConfig(pi_budget=np.int64(3), partition_retries=np.int32(2))
+    outcome = find_perfect_matching(residual, 0.2, config, 3)
+    assert outcome == find_perfect_matching(residual, 0.2, PipelineConfig(pi_budget=3, partition_retries=2), 3)
+    assert not outcome.matched and (outcome.pi_attempts, outcome.partition_attempts) == (3, 2)
+    assert type(outcome.pi_attempts) is int and type(outcome.partition_attempts) is int
+    partite = induce_partite(residual, sample_balanced_partition(12, 3, 0))
+    assert type(find_matching_permutations(partite, 0.2, None, np.int64(4), 3).attempts) is int
+
+
+def test_partition_retries_score_few_candidates_on_every_key(monkeypatch):
+    # the none-n240 benchmark config: no retry passes, so all 20 are bounded
+    # on the probe keys, and the branch and bound counts every key of few
+    cfg = ExperimentConfig(n=240, k=3, p=0.2, epsilon=0.2, trials=3, base_seed=2024,
+                           partition_retries=20, pi_budget=100, strategy=STRATEGY_FULL)
+    part_counts, full = sampling._part_counts, []
+
+    def counted(n, k, completions, offsets, partitions):
+        for item in part_counts(n, k, completions, offsets, partitions):
+            full.append(len(offsets) == keys + 1)
+            yield item
+
+    monkeypatch.setattr(sampling, "_part_counts", counted)
+    for trial in range(3):
+        keys = len(derive_trial_hypergraphs(cfg, trial)[1]._keys)
+        full.clear()
+        outcome = run_trial(cfg, trial)
+        assert outcome.partition_attempts == 20 and not outcome.partition_passed
+        assert len(full) - sum(full) == 20 and 1 <= sum(full) <= 3
+
+
 def test_pipeline_deterministic():
     h = sample_hypergraph(12, 3, 0.7, 40)
     a = find_perfect_matching(h, 0.2, seed=11)
@@ -448,18 +496,6 @@ def test_pipeline_reports_best_effort_partition():
     assert outcome.matched
 
 
-def _one_at_a_time(scored, alpha):
-    """(attempts, passed, best deviation, best partition) of the retry rule
-    over (deviation, candidate) pairs, one candidate at a time."""
-    best = None
-    for attempt, (deviation, candidate) in enumerate(scored, 1):
-        if best is None or deviation < best[0]:
-            best = (deviation, candidate)
-        if deviation <= alpha:
-            return (attempt, True) + best
-    return (len(scored), False) + best
-
-
 @pytest.mark.parametrize("where", ["inside-block", "never", "first"])
 def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
     h, seed, retries = sample_hypergraph(30, 2, 0.8, 3), 5, 20
@@ -478,7 +514,7 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
     else:
         alpha, attempts = 0.49, 1
     eps = alpha / (1 - 2 * alpha)
-    expected = _one_at_a_time(scored, partition_tolerance(eps))
+    expected = oracles.retry_loop_one_at_a_time(scored, partition_tolerance(eps))
     assert expected[:2] == (attempts, where != "never")
     chosen = []
 
@@ -496,15 +532,13 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
 def test_partition_retries_are_the_per_retry_partitions(retries, monkeypatch):
     # doubling blocks 1, 2, 4, ...: scalar rows below 24 keys, block rows in
     # the block of retries 31-62 once it holds 24 (55) or all 32 (70)
-    h, seed, score = sample_hypergraph(30, 3, 0.5, 4), 9, pipeline.score_partitions
+    h, seed, choose = sample_hypergraph(30, 3, 0.5, 4), 9, pipeline.choose_partition
     seen = []
 
-    def score_and_record(hypergraph, partitions):
-        for partition, deviation in score(hypergraph, partitions):
-            seen.append(partition)
-            yield partition, deviation
+    def choose_and_record(hypergraph, partitions, alpha):
+        return choose(hypergraph, (seen.append(p) or p for p in partitions), alpha)
 
-    monkeypatch.setattr(pipeline, "score_partitions", score_and_record)
+    monkeypatch.setattr(pipeline, "choose_partition", choose_and_record)
     find_perfect_matching(h, 1e-6, PipelineConfig(partition_retries=retries), seed=seed)
     partition_seed = substream(seed, pipeline._LABEL_PARTITION)
     expected = [sample_balanced_partition(30, 3, substream(partition_seed, r)) for r in range(retries)]

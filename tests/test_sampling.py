@@ -9,6 +9,8 @@ from hypermatch import (
     BalancedPartition,
     Hypergraph,
     check_codegree_concentration,
+    greedy_budget_adversary,
+    partition_tolerance,
     partition_worst_deviation,
     sample_balanced_partition,
     sample_hypergraph,
@@ -16,8 +18,8 @@ from hypermatch import (
 )
 
 from hypermatch import sampling
-from hypermatch.rng import Rng
-from hypermatch.sampling import _part_counts, score_partitions
+from hypermatch.rng import Rng, substream
+from hypermatch.sampling import _part_counts, _probe, choose_partition
 
 import oracles
 
@@ -272,17 +274,121 @@ def test_packed_part_counts_match_recount(case):
     block = max(1, 64 // width // k)
     # 13 partitions: a multiple of no block size above 1
     partitions = [sample_balanced_partition(n, k, s) for s in range(13)]
-    counted = list(_part_counts(h, partitions))
+    counted = list(_part_counts(n, k, h._completions, h._offsets, partitions))
     assert [p for p, _ in counted] == partitions
     for p, counts in counted:
         assert counts.T.tolist() == oracles.part_counts_by_recount(h.edges, k, p.assignment)
     worst = [oracles.worst_deviation_by_recount(h.edges, k, p.assignment) for p in partitions]
-    assert [d for _, d in score_partitions(h, partitions)] == worst
     assert [partition_worst_deviation(h, p) for p in partitions] == worst
     # partitions are drawn one block at a time
     source = iter(partitions)
-    next(score_partitions(h, source))
+    next(_part_counts(n, k, h._completions, h._offsets, source))
     assert len(list(source)) == max(0, len(partitions) - block)
+
+
+# -- partition retries ----------------------------------------------------------
+
+
+def _circulant(n, steps):
+    # k = 2 and every vertex has degree 2 * len(steps): co-degree regular
+    return Hypergraph(n, 2, [(i, (i + d) % n) for i in range(n) for d in steps])
+
+
+RETRY_GRAPHS = {
+    "k2": lambda: sample_hypergraph(30, 2, 0.5, 1),
+    "k3": lambda: sample_hypergraph(30, 3, 0.5, 2),
+    "k4": lambda: sample_hypergraph(20, 4, 0.6, 3),
+    # co-degrees pile up at the threshold, and so do the least deviations
+    "greedy-residual": lambda: greedy_budget_adversary(sample_hypergraph(60, 3, 0.5, 4), 21, 4).result,
+    "regular": lambda: _circulant(20, (1, 2, 3)),
+}
+
+
+def _candidates(h, count, seed):
+    return [sample_balanced_partition(h.n, h.k, substream(seed, r)) for r in range(count)]
+
+
+def _assert_choice_matches_loop(h, candidates, alpha):
+    """choose_partition against the one-at-a-time retry loop; returns the
+    loop's (attempts, passed, deviation, partition)."""
+    expected = oracles.retry_loop_one_at_a_time([(partition_worst_deviation(h, c), c) for c in candidates], alpha)
+    partition, deviation, attempts = choose_partition(h, iter(candidates), alpha)
+    assert partition is expected[3] and (deviation, attempts) == (expected[2], expected[0])
+    return expected
+
+
+@pytest.mark.parametrize("graph", list(PACKING_CASES) + list(RETRY_GRAPHS) + ["complete"])
+def test_probe_is_the_lowest_degree_keys_holding_an_eighth(graph):
+    h = complete(12) if graph == "complete" else {**PACKING_CASES, **RETRY_GRAPHS}[graph]()
+    degrees = h._degrees().tolist()
+    cut = min((d for d in degrees if 8 * sum(x for x in degrees if x <= d) >= sum(degrees)), default=0)
+    kept = [s for s, d in enumerate(degrees) if d <= cut]
+    if graph in ("regular", "complete"):
+        assert len(kept) == len(degrees)
+    completions, offsets = _probe(h._completions, h._offsets)
+    assert offsets.tolist() == [0] + list(itertools.accumulate(degrees[s] for s in kept))
+    assert completions.tolist() == [v for s in kept for v in h._completions[h._offsets[s]:h._offsets[s + 1]].tolist()]
+    # the probe's counts are the full counts of its keys, so its worst deviation is a lower bound
+    partitions = _candidates(h, 5, 1)
+    probed = _part_counts(h.n, h.k, completions, offsets, partitions)
+    for (_, counts), (_, full) in zip(probed, _part_counts(h.n, h.k, h._completions, h._offsets, partitions)):
+        assert counts.tolist() == full[:, kept].tolist()
+
+
+@pytest.mark.parametrize("alpha", ["zero", "at-best", "between-prefix-minima"])
+@pytest.mark.parametrize("graph", RETRY_GRAPHS)
+def test_choose_partition_matches_one_at_a_time_loop(graph, alpha):
+    h = RETRY_GRAPHS[graph]()
+    candidates = _candidates(h, 70, 12)
+    prefix = list(itertools.accumulate((partition_worst_deviation(h, c) for c in candidates), min))
+    if alpha == "zero":
+        value, attempts = 0.0, 70
+    elif alpha == "at-best":  # the boundary passes
+        value, attempts = prefix[-1], prefix.index(prefix[-1]) + 1
+    else:  # the last strict drop of the prefix minimum, so earlier candidates fail
+        r = max(r for r in range(1, 70) if prefix[r] < prefix[r - 1])
+        value, attempts = (prefix[r] + prefix[r - 1]) / 2, r + 1
+    assert _assert_choice_matches_loop(h, candidates, value)[:2] == (attempts, alpha != "zero")
+
+
+@pytest.mark.parametrize("attempt", [1, 12, 31, 32, 33, 70])
+def test_choose_partition_passes_at_the_first_candidate_within_alpha(attempt):
+    # chunks hold 32 candidates: a pass at retry 1, inside the first chunk,
+    # at either side of its end and inside the third
+    h = sample_hypergraph(30, 3, 0.5, 7)
+    candidates = _candidates(h, 80, 13)
+    deviations = [partition_worst_deviation(h, c) for c in candidates]
+    candidates.insert(attempt - 1, candidates.pop(deviations.index(min(deviations))))
+    assert _assert_choice_matches_loop(h, candidates, min(deviations))[:2] == (attempt, True)
+
+
+def test_choose_partition_keeps_the_first_of_tied_least_deviations():
+    h = RETRY_GRAPHS["greedy-residual"]()
+    candidates = _candidates(h, 50, 17)
+    deviations = [partition_worst_deviation(h, c) for c in candidates]
+    least, alpha = min(deviations), partition_tolerance(0.2)
+    assert deviations.count(least) > 1 and least > alpha
+    first = candidates[deviations.index(least)]
+    assert choose_partition(h, iter(candidates), alpha) == (first, least, 50)
+    assert choose_partition(h, iter(candidates), alpha)[0] is first
+    _assert_choice_matches_loop(h, candidates, alpha)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_choose_partition_on_an_empty_graph_passes_at_once(k):
+    # every deviation is 0.0, so the first candidate passes even at alpha 0
+    h = Hypergraph(12, k, [])
+    candidates = _candidates(h, 5, 3)
+    assert choose_partition(h, iter(candidates), 0.0) == (candidates[0], 0.0, 1)
+    _assert_choice_matches_loop(h, candidates, 0.0)
+
+
+def test_choose_partition_rejects_no_candidates_and_mismatched_ones():
+    h = sample_hypergraph(12, 3, 0.5, 1)
+    with pytest.raises(ValueError, match="candidate"):
+        choose_partition(h, [], 0.1)
+    with pytest.raises(ValueError, match="partition"):
+        choose_partition(h, [sample_balanced_partition(15, 3, 0)], 0.1)
 
 
 # -- co-degree concentration ----------------------------------------------------
