@@ -58,9 +58,12 @@ def parity_adversary(hypergraph: Hypergraph, v1: Optional[Iterable[int]] = None)
     if v1 is None:
         chosen = default_odd_v1(hypergraph.n)
     else:
-        chosen = tuple(sorted(set(_as_vertex(v) for v in v1)))
-        if any(v < 0 or v >= hypergraph.n for v in chosen):
-            raise ValueError("v1 has a vertex outside [0, n)")
+        members = set()
+        for v in map(_as_vertex, v1):  # checked as read, so a long v1 fails in O(n)
+            if not 0 <= v < hypergraph.n:
+                raise ValueError("v1 has a vertex outside [0, n)")
+            members.add(v)
+        chosen = tuple(sorted(members))
     if len(chosen) % 2 == 0:
         raise ValueError("v1 must have odd size")
     edges = hypergraph.edge_array

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 
@@ -49,11 +50,11 @@ def binomial_upper_tail(trials: int, q: float, threshold: int) -> float:
     if q in (0.0, 1.0):  # all mass on X = trials * q
         return float(lo <= trials * q)
     log_q, log_rest, log_all = math.log(q), math.log1p(-q), math.lgamma(trials + 1)
-    terms = [
+    terms = (
         math.exp(log_all - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
                  + j * log_q + (trials - j) * log_rest)
         for j in range(lo, trials + 1)
-    ]
+    )
     return min(1.0, math.fsum(terms))
 
 
@@ -78,4 +79,6 @@ def mcdiarmid_bound(t: float, r: float, c: float, median: float) -> BoundValue:
         raise ValueError("t must be nonnegative and finite")
     if not all(0 < x < math.inf for x in (r, c, median)):
         raise ValueError("r, c, and the median must be positive and finite")
-    return BoundValue.of(2.0 * math.exp(-(t * t) / (16.0 * r * c * c * median)))
+    # exact, so no product underflows to 0; capped where exp is 0, so float() cannot overflow
+    exponent = Fraction(t) ** 2 / (16 * Fraction(r) * Fraction(c) ** 2 * Fraction(median))
+    return BoundValue.of(2.0 * math.exp(-float(min(exponent, 1000))))

@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from pathlib import Path
 
 from . import experiment as exp
 from .adversary import greedy_budget_adversary, parity_adversary
@@ -30,8 +31,13 @@ from .sampling import sample_balanced_partition, sample_hypergraph, verify_parti
 _STRATEGIES = {"pi1": STRATEGY_PI1, "full": STRATEGY_FULL}
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _emit(payload: dict, file=None) -> None:
+    print(json.dumps(payload, indent=2, sort_keys=True), file=file)
+
+
+def _given(args, config) -> dict:
+    """The flags set on the command line that name a field of the config class."""
+    return {f.name: getattr(args, f.name) for f in fields(config) if hasattr(args, f.name)}
 
 
 def _cmd_gen(args) -> int:
@@ -81,35 +87,20 @@ def _cmd_adversary(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     h = read_hypergraph(getattr(args, "in"))
-    cfg = PipelineConfig(
-        partition_retries=args.partition_retries,
-        pi_budget=args.pi_budget,
-        strategy=_STRATEGIES[args.strategy],
-    )
-    outcome = find_perfect_matching(h, args.epsilon, cfg, args.seed)
-    summary = {
-        "matched": outcome.matched,
-        "verified": outcome.verified,
-        "failure_stage": outcome.failure_stage,
-        "alpha": outcome.alpha,
-        "partition_attempts": outcome.partition_attempts,
-        "partition_passed": outcome.partition_passed,
-        "partition_worst_deviation": outcome.partition_worst_deviation,
-        "delta_star": outcome.min_transversal_codegree,
-        "pi_attempts": outcome.pi_attempts,
-        "out": args.out,
-    }
+    outcome = find_perfect_matching(h, args.epsilon, PipelineConfig(**_given(args, PipelineConfig)),
+                                    args.seed)
+    summary = {name: getattr(outcome, name) for name in (
+        "matched", "verified", "failure_stage", "alpha", "partition_attempts",
+        "partition_passed", "partition_worst_deviation", "pi_attempts")}
+    summary.update(delta_star=outcome.min_transversal_codegree, out=args.out)
     if outcome.matched:
         write_matching(args.out, outcome.matching)
-        _emit(summary)
-        return 0
-    failure = dict(summary)
-    failure["certificate"] = asdict(outcome.certificate) if outcome.certificate else None
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(failure, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit(failure)
-    return 2
+    else:
+        summary["certificate"] = asdict(outcome.certificate) if outcome.certificate else None
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            _emit(summary, fh)
+    _emit(summary)
+    return 0 if outcome.matched else 2
 
 
 def _cmd_match(args) -> int:
@@ -140,25 +131,10 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = exp.ExperimentConfig.from_json(fh.read())
+    if args.config is None:
+        cfg = exp.ExperimentConfig.from_dict(_given(args, exp.ExperimentConfig))
     else:
-        required = ("n", "k", "p", "epsilon", "trials")
-        missing = [name for name in required if getattr(args, name) is None]
-        if missing:
-            raise ValueError(f"missing required options: {', '.join('--' + m for m in missing)}")
-        cfg = exp.ExperimentConfig(
-            n=args.n, k=args.k, p=args.p, epsilon=args.epsilon,
-            trials=args.trials, base_seed=args.seed,
-            adversary=args.adversary,
-            greedy_threshold=args.threshold,
-            v1_size=args.v1_size,
-            partition_retries=args.partition_retries,
-            pi_budget=args.pi_budget,
-            strategy=_STRATEGIES[args.strategy],
-            record_timing=args.timing,
-        )
+        cfg = exp.ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
     outcomes = exp.run_experiment(cfg, workers=args.workers)
     recs = exp.records(outcomes)
     if args.out:
@@ -168,6 +144,11 @@ def _cmd_experiment(args) -> int:
             exp.write_outcomes_json(args.out, cfg, outcomes)
     _emit({"config": asdict(cfg), "summary": asdict(exp.summarize(recs)), "out": args.out})
     return 0
+
+
+class _StrategyAlias(argparse.Action):
+    def __call__(self, parser, namespace, alias, option_string=None):
+        setattr(namespace, self.dest, _STRATEGIES[alias])  # the pipeline's name
 
 
 class _Parser(argparse.ArgumentParser):
@@ -184,6 +165,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Random hypergraph matchings under co-degree deletion adversaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # PipelineConfig flags; one left unset takes the config's own default
+    pipeline_flags = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    pipeline_flags.add_argument("--partition-retries", type=int)
+    pipeline_flags.add_argument("--pi-budget", type=int)
+    pipeline_flags.add_argument("--strategy", choices=tuple(_STRATEGIES), action=_StrategyAlias)
 
     gen = sub.add_parser("gen", help="sample a random hypergraph to a file")
     gen.add_argument("--n", type=int, required=True)
@@ -208,15 +194,11 @@ def build_parser() -> argparse.ArgumentParser:
     adv.add_argument("--out", required=True)
     adv.set_defaults(handler=_cmd_adversary)
 
-    pipe = sub.add_parser("pipeline", help="find a perfect matching through the bipartite reduction")
+    pipe = sub.add_parser("pipeline", parents=[pipeline_flags],
+                          help="find a perfect matching through the bipartite reduction")
     pipe.add_argument("--in", required=True)
     pipe.add_argument("--epsilon", type=float, required=True)
     pipe.add_argument("--seed", type=int, required=True)
-    pipe.add_argument("--partition-retries", dest="partition_retries", type=int,
-                      default=PipelineConfig.partition_retries)
-    pipe.add_argument("--pi-budget", dest="pi_budget", type=int,
-                      default=PipelineConfig.pi_budget)
-    pipe.add_argument("--strategy", choices=tuple(_STRATEGIES), default="pi1")
     pipe.add_argument("--out", required=True)
     pipe.set_defaults(handler=_cmd_pipeline)
 
@@ -232,23 +214,20 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--alpha", type=float, default=None)
     stats.set_defaults(handler=_cmd_stats)
 
-    run = sub.add_parser("experiment", help="seeded Monte Carlo trials with CSV/JSON output")
+    # ExperimentConfig fields: the flags given go through from_dict, as a --config file does
+    run = sub.add_parser("experiment", parents=[pipeline_flags], argument_default=argparse.SUPPRESS,
+                         help="seeded Monte Carlo trials with CSV/JSON output")
     run.add_argument("--config", default=None, help="JSON config file; overrides the flags")
-    run.add_argument("--n", type=int, default=None)
-    run.add_argument("--k", type=int, default=None)
-    run.add_argument("--p", type=float, default=None)
-    run.add_argument("--epsilon", type=float, default=None)
-    run.add_argument("--trials", type=int, default=None)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--adversary", choices=exp.ADVERSARIES, default="none")
-    run.add_argument("--threshold", type=int, default=None)
-    run.add_argument("--v1-size", dest="v1_size", type=int, default=None)
-    run.add_argument("--partition-retries", dest="partition_retries", type=int,
-                      default=PipelineConfig.partition_retries)
-    run.add_argument("--pi-budget", dest="pi_budget", type=int,
-                      default=PipelineConfig.pi_budget)
-    run.add_argument("--strategy", choices=tuple(_STRATEGIES), default="pi1")
-    run.add_argument("--timing", action="store_true")
+    run.add_argument("--n", type=int)
+    run.add_argument("--k", type=int)
+    run.add_argument("--p", type=float)
+    run.add_argument("--epsilon", type=float)
+    run.add_argument("--trials", type=int)
+    run.add_argument("--seed", dest="base_seed", type=int, default=0)
+    run.add_argument("--adversary", choices=exp.ADVERSARIES)
+    run.add_argument("--threshold", dest="greedy_threshold", type=int)
+    run.add_argument("--v1-size", type=int)
+    run.add_argument("--timing", dest="record_timing", action="store_true")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--out", default=None)
     run.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -90,8 +90,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        """Parse a config; unknown, missing or wrongly typed fields raise ValueError."""
-        data = json.loads(text)
+        """Parse a config file's text with :meth:`from_dict`'s checks."""
+        try:
+            return cls.from_dict(json.loads(text))
+        except RecursionError:
+            raise ValueError("config JSON nests too deeply") from None
+
+    @classmethod
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """A config from outside values (a JSON object, the CLI's flags); unknown,
+        missing or wrongly typed fields raise ValueError."""
         if not isinstance(data, dict):
             raise ValueError("config must be a JSON object")
         fields = cls.__dataclass_fields__
@@ -102,7 +110,11 @@ class ExperimentConfig:
         if missing:
             raise ValueError(f"missing config fields: {missing}")
         cls._check_types(data)
-        return cls(**data)
+        hints = typing.get_type_hints(cls)
+        try:  # an int for a float field is stored as a float: 1 and 1.0 write the same records
+            return cls(**{name: float(v) if hints[name] is float else v for name, v in data.items()})
+        except OverflowError:
+            raise ValueError("a float config field holds an int beyond the float range") from None
 
     @classmethod
     def _check_types(cls, values: dict) -> None:

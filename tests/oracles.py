@@ -343,6 +343,18 @@ def exact_binomial_upper(n, q: Fraction, threshold):
     return sum(pmf[max(0, threshold):], Fraction(0))
 
 
+def binomial_upper_tail_listed(trials, q, threshold):
+    """bounds.binomial_upper_tail for 0 < q < 1 with every pmf term held in
+    a list before math.fsum, as it was summed before it took a generator."""
+    log_q, log_rest, log_all = math.log(q), math.log1p(-q), math.lgamma(trials + 1)
+    terms = [
+        math.exp(log_all - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
+                 + j * log_q + (trials - j) * log_rest)
+        for j in range(max(0, threshold), trials + 1)
+    ]
+    return min(1.0, math.fsum(terms))
+
+
 def binomial_upper_by_integers(n, q: Fraction, threshold):
     """P(X >= threshold) exactly, each pmf numerator C(n, j) a^j (b-a)^(n-j)
     over b^n (q = a/b) derived from the previous one in integers: fast

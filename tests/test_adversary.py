@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +77,23 @@ def test_parity_v1_ids_must_be_integers():
             parity_adversary(complete(6), v1=bad)
     out = parity_adversary(complete(6), v1=[np.int64(0), np.int32(2), True])
     assert out.params["v1"] == (0, 1, 2)
+
+
+def test_parity_checks_v1_as_it_reads_it():
+    h = complete(9)
+    tracemalloc.start()
+    try:  # the first vertex outside [0, n) stops the read of a 10^12-long range
+        with pytest.raises(ValueError, match=r"v1 has a vertex outside \[0, n\)"):
+            parity_adversary(h, range(10**12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="outside"):
+        parity_adversary(h, v1=(0, 1, -1))
+    assert parity_adversary(h, v1=[4, 0, 4, 2, 0]).params["v1"] == (0, 2, 4)
+    with pytest.raises(ValueError, match="odd size"):
+        parity_adversary(h, v1=[0, 1, 1])
 
 
 @pytest.mark.parametrize("n", [6, 9])

@@ -1,4 +1,9 @@
+import decimal
+import itertools
 import math
+import sys
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -92,6 +97,21 @@ def test_mcdiarmid_example_values():
     assert mcdiarmid_bound(80, 1, 1, 100).value == pytest.approx(3.6631e-2, rel=1e-4)
 
 
+def test_mcdiarmid_never_divides_by_an_underflowed_product():
+    # c * c underflows to 0.0 here, though t / c is 1 and 1e200
+    assert mcdiarmid_bound(1e-200, 1, 1e-200, 1).value == pytest.approx(2 * math.exp(-1 / 16), rel=1e-12)
+    assert mcdiarmid_bound(1, 1, 1e-200, 1).value == 0.0
+    extremes = (5e-324, 1e-200, 0.3, 1e200, sys.float_info.max)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for t in (0.0,) + extremes:
+            for r, c, median in itertools.product(extremes, repeat=3):
+                exponent = Fraction(t) ** 2 / (16 * Fraction(r) * Fraction(c) ** 2 * Fraction(median))
+                exact = 2 * (-Decimal(exponent.numerator) / Decimal(exponent.denominator)).exp()
+                value = mcdiarmid_bound(t, r, c, median).value
+                assert value == pytest.approx(float(exact), rel=1e-12, abs=1e-300)
+
+
 def test_mcdiarmid_rejects_bad_arguments():
     with pytest.raises(ValueError):
         mcdiarmid_bound(-1, 1, 1, 100)
@@ -121,6 +141,23 @@ def test_exact_tail_helper_matches_fraction_oracle():
             for threshold in range(0, trials + 2):
                 exact = oracles.exact_binomial_upper(trials, Fraction(tenths, 10), threshold)
                 assert binomial_upper_tail(trials, q, threshold) == pytest.approx(float(exact), abs=1e-12)
+
+
+def test_exact_tail_sums_in_constant_memory():
+    # math.fsum of the terms as they are made rounds exactly as of their list
+    for trials, thresholds in ((8, range(10)), (16, range(18)), (25, range(27)),
+                               (1100, (0, 515, 550, 600, 990, 1000, 1100, 1101))):
+        for tenths in (1, 5, 9):
+            for threshold in thresholds:
+                assert (binomial_upper_tail(trials, tenths / 10, threshold)
+                        == oracles.binomial_upper_tail_listed(trials, tenths / 10, threshold))
+    tracemalloc.start()
+    try:  # the list of 2,000,001 terms alone held 62 MiB
+        binomial_upper_tail(2_000_000, 0.5, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exact_tail_at_1100_trials_matches_fraction_oracle():

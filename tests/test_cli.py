@@ -274,8 +274,53 @@ def test_oversized_sample_is_one_line_error(tmp_path, capsys):
 
 
 def test_experiment_missing_flags(tmp_path, capsys):
-    code, _, err = run_cli(capsys, "experiment", "--n", "6")
-    assert code == 1 and "--k" in err
+    # the flags go through the config file's checks, so both say the same
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 6, "base_seed": 0}))
+    error = "error: missing config fields: ['k', 'p', 'epsilon', 'trials']\n"
+    assert run_cli(capsys, "experiment", "--n", "6") == (1, "", error)
+    assert run_cli(capsys, "experiment", "--config", str(cfg_path)) == (1, "", error)
+
+
+# the same experiment as flags and as a config file
+FLAGS_AND_FILE = [
+    (["--p", "1", "--epsilon", "1"], {"p": 1, "epsilon": 1}),
+    (["--p", "0.9", "--epsilon", "0.2", "--adversary", "parity", "--strategy", "full"],
+     {"p": 0.9, "epsilon": 0.2, "adversary": "parity", "strategy": "full-random"}),
+    (["--p", "1", "--epsilon", "1", "--adversary", "parity", "--v1-size", "5", "--strategy", "pi1"],
+     {"p": 1, "epsilon": 1, "adversary": "parity", "v1_size": 5, "strategy": "pi1-only"}),
+    (["--p", "0.9", "--epsilon", "0.2", "--adversary", "greedy", "--pi-budget", "5"],
+     {"p": 0.9, "epsilon": 0.2, "adversary": "greedy", "pi_budget": 5}),
+    (["--p", "1", "--epsilon", "1", "--adversary", "greedy", "--threshold", "2",
+      "--partition-retries", "3", "--strategy", "full"],
+     {"p": 1, "epsilon": 1, "adversary": "greedy", "greedy_threshold": 2, "partition_retries": 3,
+      "strategy": "full-random"}),
+]
+
+
+@pytest.mark.parametrize("flags, fields", FLAGS_AND_FILE, ids=[
+    "none-int", "parity-full", "parity-v1-int", "greedy", "greedy-threshold-int"])
+def test_experiment_flags_and_config_file_agree(tmp_path, capsys, flags, fields):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 9, "k": 3, "trials": 3, "base_seed": 5, **fields}))
+    out = tmp_path / "e.csv"
+    by_flags = run_cli(capsys, "experiment", "--n", "9", "--k", "3", "--trials", "3",
+                       "--seed", "5", *flags, "--out", str(out))
+    csv_by_flags = out.read_bytes()
+    by_file = run_cli(capsys, "experiment", "--config", str(cfg_path), "--out", str(out))
+    assert by_flags[0] == 0
+    assert by_file == by_flags
+    assert out.read_bytes() == csv_by_flags
+    if fields["p"] == 1:  # an int p or epsilon is stored as a float
+        assert b",9,3,1.0,1.0," in csv_by_flags
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
+def test_experiment_deeply_nested_config_is_one_line_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, _, err = run_cli(capsys, "experiment", "--config", str(cfg_path))
+    assert (code, err) == (1, "error: config JSON nests too deeply\n")
 
 
 def test_unreadable_input_reports_error(tmp_path, capsys):

@@ -102,6 +102,25 @@ def test_config_json_accepts_int_for_float_and_null_for_optional():
         exp.ExperimentConfig.from_json("[6, 3]")
 
 
+def test_config_from_dict_stores_ints_for_floats_as_floats():
+    data = asdict(small_config())
+    data.update(p=1, epsilon=1)
+    cfg = exp.ExperimentConfig.from_dict(data)
+    assert (type(cfg.p), type(cfg.epsilon)) == (float, float)
+    assert exp.ExperimentConfig(**data).p == 1 and type(exp.ExperimentConfig(**data).p) is int
+    for field in ("p", "epsilon"):  # float(10**400) overflows
+        data = asdict(small_config())
+        data[field] = 10**400
+        with pytest.raises(ValueError, match="beyond the float range"):
+            exp.ExperimentConfig.from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
+def test_config_json_nesting_too_deep_is_a_value_error(text):
+    with pytest.raises(ValueError, match="nests too deeply"):
+        exp.ExperimentConfig.from_json(text)
+
+
 def test_complete_instance_all_match():
     outs = exp.run_experiment(small_config())
     assert len(outs) == 3
