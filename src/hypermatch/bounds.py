@@ -43,19 +43,23 @@ def chernoff_bounds(a: float, mu: float) -> tuple[BoundValue, Optional[BoundValu
 
 
 def binomial_upper_tail(trials: int, q: float, threshold: int) -> float:
-    """Exact P(X >= threshold) for X ~ Bin(trials, q), by pmf summation."""
+    """Exact P(X >= threshold) for X ~ Bin(trials, q), summing the pmf on the side
+    without the mode floor((trials + 1) q): the upper side above it, else 1 minus
+    the lower side, so threshold <= 0 reads 1. Each log-space term, and so that
+    sum, is off by about lgamma(trials + 1) * 2^-53 relative (3e-9 at 2 * 10^6 trials)."""
     if trials < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("need trials >= 0 and q in [0, 1]")
     lo = max(0, threshold)
     if q in (0.0, 1.0):  # all mass on X = trials * q
         return float(lo <= trials * q)
     log_q, log_rest, log_all = math.log(q), math.log1p(-q), math.lgamma(trials + 1)
+    upper = lo > math.floor((trials + 1) * q)
     terms = (
         math.exp(log_all - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
                  + j * log_q + (trials - j) * log_rest)
-        for j in range(lo, trials + 1)
+        for j in (range(lo, trials + 1) if upper else range(lo))
     )
-    return min(1.0, math.fsum(terms))
+    return min(1.0, math.fsum(terms)) if upper else 1.0 - math.fsum(terms)
 
 
 def binomial_tail_bound(trials: int, q: float, threshold: int) -> BoundValue:

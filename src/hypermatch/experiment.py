@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import sys
 import time
 import typing
 from concurrent.futures import ThreadPoolExecutor
@@ -111,15 +112,13 @@ class ExperimentConfig:
             raise ValueError(f"missing config fields: {missing}")
         cls._check_types(data)
         hints = typing.get_type_hints(cls)
-        try:  # an int for a float field is stored as a float: 1 and 1.0 write the same records
-            return cls(**{name: float(v) if hints[name] is float else v for name, v in data.items()})
-        except OverflowError:
-            raise ValueError("a float config field holds an int beyond the float range") from None
+        # an int for a float field is stored as a float: 1 and 1.0 write the same records
+        return cls(**{name: float(v) if hints[name] is float else v for name, v in data.items()})
 
     @classmethod
     def _check_types(cls, values: dict) -> None:
-        """ValueError unless each value has its field's type; an int passes
-        as a float, a bool only as a bool."""
+        """ValueError unless each value has its field's type; an int within
+        the float range passes as a float, a bool only as a bool."""
         hints = typing.get_type_hints(cls)
         for name, value in values.items():
             allowed = typing.get_args(hints[name]) or (hints[name],)
@@ -127,6 +126,8 @@ class ExperimentConfig:
             if not isinstance(value, allowed) or isinstance(value, bool) and bool not in allowed:
                 expected = cls.__dataclass_fields__[name].type
                 raise ValueError(f"config field {name!r} must be {expected}, got {value!r}")
+            if float in allowed and isinstance(value, int) and abs(value) > sys.float_info.max:
+                raise ValueError(f"config field {name!r} holds an int beyond the float range")
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,9 @@ tuples, built on first use). The index covers each (k-1)-subset X with a
 completion: ``_keys`` are their lexicographic ranks in C([n], k-1),
 ascending, and X = ``_keys[s]`` owns the ascending completions
 ``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE) memory for any n. The
-arrays are read-only, so hypergraphs are safe to share across threads.
+index is one sort of rank * n + completion in the narrowest integer type
+that holds it (int32 while C(n, k-1) * n < 2^31, else int64); the arrays
+are int64 and read-only, so hypergraphs are safe to share across threads.
 
 Also here: balanced vertex partitions, the k-partite restriction (an edge
 array whose delta* is counted in the pass that builds its row bitmasks),
@@ -79,20 +81,19 @@ def _lex_rank(n: int, subset: Edge) -> int:
     return math.comb(n, r) - 1 - sum(math.comb(n - 1 - x, r - i) for i, x in enumerate(subset))
 
 
-def _lex_ranks(n: int, columns: list[np.ndarray]) -> np.ndarray:
-    """Lexicographic ranks of r-subsets given as r columns of ascending members."""
-    r = len(columns)
-    table = _binomial_table(n, r)
-    out = np.full(len(columns[0]), math.comb(n, r) - 1, dtype=np.int64)
-    for i, column in enumerate(columns):
-        out -= table[:, r - i][n - 1 - column]
-    return out
-
-
 def _subset_ranks(n: int, edges: np.ndarray) -> np.ndarray:
-    """(k, E) array: row j ranks every edge with its column j removed."""
-    columns = list(edges.T)
-    return np.stack([_lex_ranks(n, columns[:j] + columns[j + 1:]) for j in range(len(columns))])
+    """(k, E) array: row j ranks every edge with its column j removed, in the
+    narrowest integer type (int32 or int64) that holds rank * n + vertex."""
+    k = edges.shape[1]
+    count = _subset_count(n, k - 1)
+    dtype = np.int32 if count * n < 2**31 else np.int64
+    # rank = C(n, k-1) - 1 - sum_i C(n-1-x_i, k-1-i); weights[j, x] = C(n-1-x, j), rows contiguous
+    weights = np.ascontiguousarray(_binomial_table(n, k - 1)[::-1].T, dtype=dtype)
+    out = np.full((k, len(edges)), count - 1, dtype=dtype)
+    for i in range(k - 1):  # member x_i is column i of the edge in rows j > i, column i + 1 in rows j <= i
+        out[i + 1:] -= weights[k - 1 - i][edges[:, i]]
+        out[:i + 1] -= weights[k - 1 - i][edges[:, i + 1]]
+    return out
 
 
 def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
@@ -106,7 +107,7 @@ def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarr
         rows.append(edge)
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), k)
     # lexicographic key within the index's int64 bound: first vertex, then rank of the rest
-    key = _lex_ranks(n, list(arr[:, 1:].T)) + arr[:, 0] * math.comb(n, k - 1)
+    key = _subset_ranks(n, arr)[0] + arr[:, 0] * math.comb(n, k - 1)
     _, first = np.unique(key, return_index=True)
     return arr[first]
 
@@ -125,16 +126,20 @@ class Hypergraph:
         self._finish_init(n, k, _normalize_edges(n, k, edges))
 
     def _finish_init(self, n: int, k: int, edge_array: np.ndarray) -> None:
-        # one sort of rank * n + completion, in place; keys start at pair 0 (ranks >= 0) and rank changes
-        ranks = (_subset_ranks(n, edge_array) * n + edge_array.T).reshape(-1)
-        ranks.sort()
-        completions = ranks % n
-        ranks //= n
+        # one in-place sort of rank * n + completion in the ranks' type; keys start at pair 0 and rank changes
+        packed = _subset_ranks(n, edge_array)
+        packed *= n
+        packed += edge_array.T
+        packed = packed.reshape(-1)
+        packed.sort()
+        ranks = packed // n
         starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])
         self.n, self.k, self.edge_array, self._edges = n, k, edge_array, None
-        self._keys, self._offsets = ranks[starts], np.append(starts, len(ranks))
-        self._completions = completions
-        for arr in (edge_array, self._keys, self._offsets, completions):
+        self._keys, self._offsets = ranks[starts].astype(np.int64, copy=False), np.append(starts, len(ranks))
+        packed -= np.multiply(ranks, n, out=ranks)  # the completions; ranks go before the int64 copy
+        del ranks
+        self._completions = packed.astype(np.int64, copy=False)
+        for arr in (edge_array, self._keys, self._offsets, self._completions):
             arr.flags.writeable = False
 
     @classmethod
@@ -376,7 +381,7 @@ class PartiteHypergraph:
 def induce_partite(hypergraph: Hypergraph, partition: BalancedPartition) -> PartiteHypergraph:
     """Keep exactly the edges that meet every part of the partition once."""
     return PartiteHypergraph._trusted(
-        hypergraph.edge_array[_transversal_mask(hypergraph, partition)], partition)
+        np.compress(_transversal_mask(hypergraph, partition), hypergraph.edge_array, axis=0), partition)
 
 
 # -- perfect matchings ----------------------------------------------------

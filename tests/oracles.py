@@ -345,14 +345,17 @@ def exact_binomial_upper(n, q: Fraction, threshold):
 
 def binomial_upper_tail_listed(trials, q, threshold):
     """bounds.binomial_upper_tail for 0 < q < 1 with every pmf term held in
-    a list before math.fsum, as it was summed before it took a generator."""
+    a list before math.fsum, as it was summed before it took a generator: the
+    upper side above the mode floor((trials + 1) q), else 1 minus the lower side."""
     log_q, log_rest, log_all = math.log(q), math.log1p(-q), math.lgamma(trials + 1)
+    lo = max(0, threshold)
+    upper = lo > math.floor((trials + 1) * q)
     terms = [
         math.exp(log_all - math.lgamma(j + 1) - math.lgamma(trials - j + 1)
                  + j * log_q + (trials - j) * log_rest)
-        for j in range(max(0, threshold), trials + 1)
+        for j in (range(lo, trials + 1) if upper else range(lo))
     ]
-    return min(1.0, math.fsum(terms))
+    return min(1.0, math.fsum(terms)) if upper else 1.0 - math.fsum(terms)
 
 
 def binomial_upper_by_integers(n, q: Fraction, threshold):

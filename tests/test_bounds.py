@@ -152,12 +152,21 @@ def test_exact_tail_sums_in_constant_memory():
                 assert (binomial_upper_tail(trials, tenths / 10, threshold)
                         == oracles.binomial_upper_tail_listed(trials, tenths / 10, threshold))
     tracemalloc.start()
-    try:  # the list of 2,000,001 terms alone held 62 MiB
-        binomial_upper_tail(2_000_000, 0.5, 0)
+    try:  # each side's list of 10^6 terms alone held 31 MiB
+        binomial_upper_tail(2_000_000, 0.5, 1_000_000)  # the lower side, j < 10^6
+        binomial_upper_tail(2_000_000, 0.5, 1_000_001)  # the upper side, j > 10^6
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_exact_tail_of_a_certain_event_is_one():
+    # summed from the threshold up, 2*10^6 rounded log-space terms drifted to 0.9999999978
+    assert binomial_upper_tail(2_000_000, 0.5, 0) == 1.0
+    assert binomial_upper_tail(2_000_000, 0.5, 1) == 1.0
+    assert binomial_upper_tail(2_000_000, 0.5, -5) == 1.0
+    assert binomial_upper_tail(1100, 0.5, 0) == 1.0 and binomial_upper_tail(8, 0.1, 0) == 1.0
 
 
 def test_exact_tail_at_1100_trials_matches_fraction_oracle():

@@ -115,6 +115,18 @@ def test_config_from_dict_stores_ints_for_floats_as_floats():
             exp.ExperimentConfig.from_json(json.dumps(data))
 
 
+@pytest.mark.parametrize("adversary", ["none", "greedy"])
+def test_validate_refuses_int_epsilon_beyond_float_range(adversary):
+    data = asdict(small_config(adversary=adversary))
+    data["epsilon"] = 10**400
+    with pytest.raises(ValueError) as from_dict:
+        exp.ExperimentConfig.from_dict(data)
+    with pytest.raises(ValueError) as from_python:
+        exp.ExperimentConfig(**data).validate()
+    assert str(from_python.value) == str(from_dict.value)
+    assert "'epsilon'" in str(from_python.value) and "\n" not in str(from_python.value)
+
+
 @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000], ids=["array", "object"])
 def test_config_json_nesting_too_deep_is_a_value_error(text):
     with pytest.raises(ValueError, match="nests too deeply"):

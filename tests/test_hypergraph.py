@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,38 @@ def test_rank_overflow_rejected_at_construction():
     # C(10^7, 3) * 10^7 > 2^63: a key rank * n + vertex would overflow int64
     with pytest.raises(ValueError):
         Hypergraph(10**7, 4, [])
+
+
+@pytest.mark.parametrize("k,last", [(2, 46340), (3, 1625), (4, 337)])
+def test_index_on_both_sides_of_the_int32_rank_cut(k, last):
+    # last is the largest n with C(n, k-1) * n < 2^31; edges on the top vertices hold the largest ranks
+    for n, rank_type in ((last, np.int32), (last + 1, np.int64)):
+        h = Hypergraph(n, k, itertools.combinations((0, 1, n // 2, n - 3, n - 2, n - 1), k))
+        assert hg._subset_ranks(n, h.edge_array).dtype == rank_type
+        table = oracles.completions_by_enumeration(h.edges, k)
+        assert hg.lex_unrank(n, k - 1, h._keys).tolist() == [list(x) for x in table]
+        offsets = h._offsets.tolist()
+        assert [tuple(h._completions[a:b].tolist()) for a, b in zip(offsets, offsets[1:])] == list(table.values())
+        for arr in (h._keys, h._offsets, h._completions):
+            assert arr.dtype == np.int64 and not arr.flags.writeable
+        for e, slots in zip(h.edges, h._edge_slots().tolist()):
+            assert [int(h._keys[s]) for s in slots] == [hg._lex_rank(n, e[:j] + e[j + 1:]) for j in range(k)]
+
+
+def test_subset_count_refuses_from_the_int64_rank_cut():
+    for r in (1, 2, 3):
+        lo, hi = r, 2**32  # bisect to C(lo, r) * lo < 2^63 <= C(hi, r) * hi
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if math.comb(mid, r) * mid < 2**63 else (lo, mid)
+        assert hg._subset_count(lo, r) == math.comb(lo, r)
+        message = f"C({hi}, {r}) * {hi} exceeds the int64 range of subset ranks"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            hg._subset_count(hi, r)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Hypergraph(hi, r + 1, [])
+    h = Hypergraph(lo, 4, [(0, lo - 3, lo - 2, lo - 1), (1, lo - 3, lo - 2, lo - 1)])
+    assert h.completions((lo - 3, lo - 2, lo - 1)) == (0, 1) and h.codegree((0, lo - 2, lo - 1)) == 1
 
 
 @pytest.mark.parametrize("n,r", [(1, 1), (7, 1), (7, 3), (9, 9), (12, 5), (80, 79), (80, 80)])
