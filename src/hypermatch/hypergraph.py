@@ -18,7 +18,6 @@ oracles that find or count perfect matchings at desk scale.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -192,9 +191,13 @@ class Hypergraph:
     def _degrees(self) -> np.ndarray:  # co-degree of each index key
         return np.diff(self._offsets)
 
+    def _has_every_subset(self) -> bool:  # then the keys are 0..C(n, k-1)-1, each at its own position
+        return len(self._keys) == math.comb(self.n, self.k - 1)
+
     def _edge_slots(self) -> np.ndarray:
         """(E, k) array: entry (e, j) is the index position of edge e minus column j."""
-        return np.searchsorted(self._keys, _subset_ranks(self.n, self.edge_array)).T
+        ranks = _subset_ranks(self.n, self.edge_array)
+        return (ranks if self._has_every_subset() else np.searchsorted(self._keys, ranks)).T
 
     def codegree_extremes(self) -> tuple[int, int]:
         """(min, max) co-degree over all C(n, k-1) subsets, zeros included.
@@ -205,8 +208,7 @@ class Hypergraph:
         if not len(self._keys):
             return (0, 0)
         degrees = self._degrees()
-        full = len(self._keys) == math.comb(self.n, self.k - 1)
-        return (int(degrees.min()) if full else 0, int(degrees.max()))
+        return (int(degrees.min()) if self._has_every_subset() else 0, int(degrees.max()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Hypergraph):
@@ -290,8 +292,16 @@ def _transversal_mask(hypergraph: Hypergraph, partition: BalancedPartition) -> n
         raise ValueError("partition and hypergraph disagree on n")
     if partition.k != hypergraph.k:
         raise ValueError("need exactly k parts for a k-uniform hypergraph")
-    labels = np.asarray(partition.assignment)[hypergraph.edge_array].T
-    return np.all([a != b for a, b in itertools.combinations(labels, 2)], axis=0)
+    # k powers of two below 2^k sum to 2^k - 1 only when they are distinct; the
+    # sum is at most k * 2^(k-1), in the narrowest type that holds it (Python
+    # ints from k = 60 on, where every part is one vertex)
+    k = partition.k
+    bit = np.array([1 << a for a in partition.assignment], dtype=np.min_scalar_type(k << k - 1))
+    columns = hypergraph.edge_array.T
+    total = bit[columns[0]]
+    for column in columns[1:]:
+        total += bit[column]
+    return total == (1 << k) - 1
 
 
 class PartiteHypergraph:

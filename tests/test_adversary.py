@@ -174,7 +174,8 @@ def assert_scan_by_definition(h, threshold, seed):
 
 @pytest.mark.parametrize("seed", [-3, 0, 1, 2024, 2**64 + 9])
 def test_greedy_scans_in_the_scalar_shuffle_order(seed):
-    for n, k, p, graph_seed in [(12, 2, 0.5, 4), (12, 3, 0.7, 21), (10, 4, 0.6, 8), (9, 5, 0.6, 3)]:
+    graphs = [(12, 2, 0.5, 4), (12, 3, 0.7, 21), (10, 4, 0.6, 8), (9, 5, 0.6, 3), (30, 3, 0.05, 5), (8, 3, 0.0, 1)]
+    for n, k, p, graph_seed in graphs:
         h = sample_hypergraph(n, k, p, graph_seed)
         lo, hi = h.codegree_extremes()
         # from lo on some subsets start at the threshold; from hi on none can drop
@@ -186,8 +187,12 @@ def test_greedy_scans_in_the_scalar_shuffle_order(seed):
 
 def test_greedy_scans_by_definition_at_benchmark_scale():
     h = sample_hypergraph(60, 3, 0.5, 2024)
-    out = assert_scan_by_definition(h, 21, 7)
-    assert out.deleted > 0
+    hi = h.codegree_extremes()[1]
+    # from the maximum co-degree on every subset starts closed, and the first drop empties the scan
+    for threshold in (21, 18, 25, 0, hi, hi + 1):
+        out = assert_scan_by_definition(h, threshold, 7)
+        assert (out.deleted > 0) == (threshold < hi)
+        assert out.deleted < h.edge_count() or threshold == 0
 
 
 @pytest.mark.parametrize("threshold", [3.0, 3.5, math.nan, math.inf])

@@ -130,6 +130,18 @@ def test_index_on_both_sides_of_the_int32_rank_cut(k, last):
             assert [int(h._keys[s]) for s in slots] == [hg._lex_rank(n, e[:j] + e[j + 1:]) for j in range(k)]
 
 
+@pytest.mark.parametrize("n,k,p,seed,full", [
+    (60, 3, 0.5, 2024, True), (12, 4, 0.9, 1, True), (30, 3, 0.05, 5, False), (30, 2, 0.03, 3, False)])
+def test_edge_slots_are_index_positions_with_and_without_absent_subsets(n, k, p, seed, full):
+    # with every subset a key, each rank is its own position and the search is skipped
+    h = sample_hypergraph(n, k, p, seed)
+    assert h._has_every_subset() == full
+    slots = h._edge_slots()
+    assert slots.shape == (h.edge_count(), k)
+    assert np.array_equal(slots, np.searchsorted(h._keys, hg._subset_ranks(n, h.edge_array)).T)
+    assert np.array_equal(np.bincount(slots.ravel(), minlength=len(h._keys)), np.diff(h._offsets))
+
+
 def test_subset_count_refuses_from_the_int64_rank_cut():
     for r in (1, 2, 3):
         lo, hi = r, 2**32  # bisect to C(lo, r) * lo < 2^63 <= C(hi, r) * hi
@@ -262,11 +274,19 @@ def test_induce_drops_nontransversal():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_induce_matches_filter_oracle(seed):
-    h = sample_hypergraph(12, 3, 0.4, seed)
-    p = sample_balanced_partition(12, 3, seed + 100)
-    hp = induce_partite(h, p)
-    expected = oracles.transversal_filter(h.edges, p.parts)
-    assert list(hp.hypergraph.edges) == sorted(expected)
+    for n, k, p in [(12, 3, 0.4), (12, 2, 0.5), (12, 4, 0.4), (15, 5, 0.3)]:
+        h = sample_hypergraph(n, k, p, seed)
+        partition = sample_balanced_partition(n, k, seed + 100)
+        hp = induce_partite(h, partition)
+        expected = oracles.transversal_filter(h.edges, partition.parts)
+        assert list(hp.hypergraph.edges) == sorted(expected)
+
+
+@pytest.mark.parametrize("k", [6, 7, 13, 14, 28, 29, 59, 60, 64, 65])
+def test_induce_keeps_the_one_edge_of_singleton_parts(k):
+    # one vertex per part: the only edge is a transversal; k spans each switch of the bit sum's type
+    h = Hypergraph(k, k, [range(k)])
+    assert induce_partite(h, BalancedPartition([(v,) for v in range(k)])).hypergraph == h
 
 
 @pytest.mark.parametrize("seed", range(5))
