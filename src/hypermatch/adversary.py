@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .hypergraph import Hypergraph, _as_vertex
+from .hypergraph import Hypergraph
 from .rng import Rng, permutations
 
 _SCAN_CHUNK = 256  # fewest edges the greedy scan visits between two drops of closed edges
@@ -64,7 +64,7 @@ def parity_adversary(hypergraph: Hypergraph, v1: Optional[Iterable[int]] = None)
         chosen = default_odd_v1(hypergraph.n)
     else:
         members = set()
-        for v in map(_as_vertex, v1):  # checked as read, so a long v1 fails in O(n)
+        for v in map(operator.index, v1):  # checked as read, so a long v1 fails in O(n)
             if not 0 <= v < hypergraph.n:
                 raise ValueError("v1 has a vertex outside [0, n)")
             members.add(v)

@@ -16,10 +16,9 @@ Hopcroft-Karp only on the graph whose matching it reports.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
-
-from .hypergraph import _as_vertex
 
 
 class BipartiteGraph:
@@ -32,7 +31,7 @@ class BipartiteGraph:
             raise ValueError("m must be nonnegative")
         rows = []
         for row in adjacency:
-            nbrs = tuple(sorted(set(_as_vertex(v) for v in row)))
+            nbrs = tuple(sorted(set(map(operator.index, row))))
             if nbrs and (nbrs[0] < 0 or nbrs[-1] >= m):
                 raise ValueError(f"neighbor outside [0, {m}) in row {row!r}")
             rows.append(nbrs)

@@ -12,7 +12,6 @@ import argparse
 import json
 import sys
 from dataclasses import asdict, fields
-from pathlib import Path
 
 from . import experiment as exp
 from .adversary import greedy_budget_adversary, parity_adversary
@@ -22,6 +21,7 @@ from .fileio import (
     read_bipartite,
     read_extension_matrix,
     read_hypergraph,
+    read_text,
     write_hypergraph,
     write_matching,
 )
@@ -134,7 +134,7 @@ def _cmd_experiment(args) -> int:
     if args.config is None:
         cfg = exp.ExperimentConfig.from_dict(_given(args, exp.ExperimentConfig))
     else:
-        cfg = exp.ExperimentConfig.from_json(Path(args.config).read_text(encoding="utf-8"))
+        cfg = exp.ExperimentConfig.from_json(read_text(args.config))
     outcomes = exp.run_experiment(cfg, workers=args.workers)
     recs = exp.records(outcomes)
     if args.out:

@@ -197,7 +197,6 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialOutcome:
         partition_retries=cfg.partition_retries,
         pi_budget=cfg.pi_budget,
         strategy=cfg.strategy,
-        p=cfg.p,
     )
     outcome = find_perfect_matching(
         resisted, cfg.epsilon, pipeline_cfg, substream(seed, _LABEL_PIPELINE))

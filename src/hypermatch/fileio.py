@@ -29,11 +29,21 @@ class FormatError(ValueError):
     """Malformed input file; message carries the path and line number."""
 
 
+def read_text(path: Pathish) -> str:
+    """The file's text; one that is not UTF-8 raises FormatError at the
+    line of its first undecodable byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _data_lines(path: Pathish):
     """(line number, stripped line) of each data line of the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

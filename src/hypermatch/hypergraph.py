@@ -28,10 +28,6 @@ import numpy as np
 Edge = tuple[int, ...]
 
 
-def _as_vertex(v) -> int:
-    return operator.index(v)
-
-
 def _subset_count(n: int, r: int) -> int:
     """C(n, r); raises ValueError unless rank * n + vertex fits int64."""
     if math.comb(n, r) * n >= 2**63:
@@ -98,7 +94,7 @@ def _subset_ranks(n: int, edges: np.ndarray) -> np.ndarray:
 def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarray:
     rows = []
     for raw in edges:
-        edge = tuple(sorted(_as_vertex(v) for v in raw))
+        edge = tuple(sorted(map(operator.index, raw)))
         if len(edge) != k or len(set(edge)) != k:
             raise ValueError(f"edge {raw!r} must have exactly {k} distinct vertices")
         if edge[0] < 0 or edge[-1] >= n:
@@ -117,7 +113,7 @@ class Hypergraph:
     __slots__ = ("n", "k", "edge_array", "_keys", "_offsets", "_completions", "_edges")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
-        n, k = _as_vertex(n), _as_vertex(k)
+        n, k = operator.index(n), operator.index(k)
         if k < 2:
             raise ValueError("uniformity k must be at least 2")
         if n < k:
@@ -167,13 +163,13 @@ class Hypergraph:
         return self._completions[self._offsets[lo]:self._offsets[hi]]
 
     def has_edge(self, edge: Iterable[int]) -> bool:
-        e = tuple(sorted(_as_vertex(v) for v in edge))
+        e = tuple(sorted(map(operator.index, edge)))
         if len(e) != self.k or len(set(e)) != self.k or e[0] < 0 or e[-1] >= self.n:
             return False
         return bool(e[0] in self._completion_array(e[1:]))
 
     def _check_subset(self, subset: Iterable[int]) -> Edge:
-        x = tuple(sorted(_as_vertex(v) for v in subset))
+        x = tuple(sorted(map(operator.index, subset)))
         if len(x) != self.k - 1 or len(set(x)) != len(x):
             raise ValueError(f"expected a set of {self.k - 1} distinct vertices, got {subset!r}")
         if x and (x[0] < 0 or x[-1] >= self.n):
@@ -233,7 +229,7 @@ class BalancedPartition:
     __slots__ = ("parts", "assignment")
 
     def __init__(self, parts: Iterable[Iterable[int]]):
-        norm = tuple(tuple(sorted(_as_vertex(v) for v in part)) for part in parts)
+        norm = tuple(tuple(sorted(map(operator.index, part))) for part in parts)
         if not norm:
             raise ValueError("need at least one part")
         m = len(norm[0])
@@ -416,7 +412,7 @@ class MatchingCheck:
 def check_perfect_matching(hypergraph: Hypergraph, matching: Iterable[Iterable[int]]) -> MatchingCheck:
     """True iff the edges all belong to the hypergraph, are pairwise
     disjoint, and cover every vertex exactly once."""
-    edges = [tuple(sorted(_as_vertex(v) for v in e)) for e in matching]
+    edges = [tuple(sorted(map(operator.index, e))) for e in matching]
     for e in edges:
         if not hypergraph.has_edge(e):
             return MatchingCheck(False, "non-edge", (e,))

@@ -141,8 +141,8 @@ class PiSearch:
     """Outcome of the permutation search.
 
     certificate is the Hall certificate of the last failed attempt;
-    min_degree and degree_target report the auxiliary graph's minimum
-    degree against (1/2 + eps/2) * m * p when p is known.
+    min_degree is the winning auxiliary graph's minimum degree, which a
+    caller compares with (1/2 + eps/2) * m * p from its own inputs.
     """
 
     success: bool
@@ -151,7 +151,6 @@ class PiSearch:
     attempts: int
     certificate: Optional[HallCertificate] = None
     min_degree: Optional[int] = None
-    degree_target: Optional[float] = None
 
 
 def _drawn_positions(m: int, shuffles: int, seed: int, count: int, first: int = 1) -> Iterator[np.ndarray]:
@@ -167,8 +166,7 @@ def _drawn_positions(m: int, shuffles: int, seed: int, count: int, first: int = 
         first, size = first + len(labels), min(2 * size, _MAX_BLOCK)
 
 
-def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Optional[float],
-                               budget: int, seed: int,
+def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: int,
                                strategy: str = STRATEGY_PI1) -> PiSearch:
     """Retry random permutation families until the auxiliary graph has a
     perfect matching.
@@ -188,7 +186,6 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
         raise ValueError("budget must be at least 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
     tried = 0
     for block in _drawn_positions(partite.m, shuffles, seed, budget):
@@ -197,12 +194,11 @@ def find_matching_permutations(partite: PartiteHypergraph, eps: float, p: Option
                 graph = BipartiteGraph._from_masks(masks)
                 return PiSearch(
                     success=True, family=_family_at(partite, block[b]), matching=max_matching(graph),
-                    attempts=tried + b + 1, min_degree=graph.min_degree(), degree_target=target)
+                    attempts=tried + b + 1, min_degree=graph.min_degree())
         tried += len(block)
     graph = BipartiteGraph._from_masks(masks)  # of the last attempt
-    return PiSearch(
-        success=False, family=None, matching=None, attempts=budget,
-        certificate=hall_certificate(graph), degree_target=target)
+    return PiSearch(success=False, family=None, matching=None, attempts=budget,
+                    certificate=hall_certificate(graph))
 
 
 def partition_tolerance(eps: float) -> float:
@@ -215,7 +211,6 @@ class PipelineConfig:
     partition_retries: int = 20
     pi_budget: int = 100
     strategy: str = STRATEGY_PI1
-    p: Optional[float] = None  # density hint, only used for degree diagnostics
 
 
 @dataclass(frozen=True)
@@ -263,8 +258,7 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
 
     partite = induce_partite(hypergraph, best_partition)
     dstar = partite.min_transversal_codegree()
-    search = find_matching_permutations(
-        partite, eps, cfg.p, cfg.pi_budget, substream(seed, _LABEL_PI), cfg.strategy)
+    search = find_matching_permutations(partite, cfg.pi_budget, substream(seed, _LABEL_PI), cfg.strategy)
 
     common = dict(
         alpha=alpha,

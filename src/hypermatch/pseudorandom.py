@@ -22,6 +22,7 @@ failure but never success.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -33,17 +34,12 @@ from .rng import Rng
 
 _EXACT_LIMIT = 16
 
-# subset membership matrices, keyed by m; row s holds the bits of s
-_SUBSET_CACHE: dict[int, np.ndarray] = {}
 
-
+@functools.cache
 def _subset_matrix(m: int) -> np.ndarray:
-    cached = _SUBSET_CACHE.get(m)
-    if cached is None:
-        codes = np.arange(1 << m, dtype=np.uint32)
-        cached = ((codes[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.int32)
-        _SUBSET_CACHE[m] = cached
-    return cached
+    """Subset membership matrix: row s holds the bits of s."""
+    codes = np.arange(1 << m, dtype=np.uint32)
+    return ((codes[:, None] >> np.arange(m, dtype=np.uint32)) & 1).astype(np.int32)
 
 
 @dataclass(frozen=True)

@@ -152,43 +152,43 @@ def _probe(completions: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np
 
 def choose_partition(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition],
                      alpha: float) -> tuple[BalancedPartition, float, int]:
-    """(partition, deviation, attempts) of the retry rule: the first
-    candidate whose partition_worst_deviation is at most alpha, after
-    ``attempts`` candidates, else the first of least deviation, after all.
+    """(partition, deviation, attempts) of the retry rule: the candidate of
+    least key (deviation > alpha, deviation if above alpha else 0, attempt)
+    under partition_worst_deviation. That is the first candidate within
+    alpha, after ``attempts`` candidates, else the first of least deviation,
+    after all.
 
     An exact branch and bound, _RETRY_CHUNK candidates at a time, whose
     worst deviations over the probe keys (_probe) are scored in packed
     blocks. That is a max over a subset of the keys, so a lower bound on the
-    candidate's score. Only a candidate whose bound is at most alpha can
-    pass, and only one whose (bound, attempt) is below the best's
-    (deviation, attempt) can replace it, so only these are scored on every
-    key, in ascending (bound, attempt) order.
+    deviation, and its key of the same form a lower bound on the
+    candidate's key. Candidates are scored on every key in ascending bound
+    order until the bound reaches the best key. A passing key is below every
+    failing one and every later attempt's, so once a chunk's best passes no
+    further candidate can win, and none is drawn.
     """
     n, k = hypergraph.n, hypergraph.k
     full = (hypergraph._completions, hypergraph._offsets)
     probe = _probe(*full)
-    best = (math.inf, 0, None)  # (deviation, attempt index, partition)
+
+    def key(deviation, attempt):
+        return (deviation > alpha, deviation if deviation > alpha else 0.0, attempt)
+
+    best = (key(math.inf, 0), math.inf, None)  # (key, deviation, partition)
     taken, partitions = 0, iter(partitions)
     while chunk := list(itertools.islice(partitions, _RETRY_CHUNK)):
-        bounds = list(_worst_deviations(n, k, *probe, chunk))
-        scored = {}  # chunk position -> deviation on every key
-
-        def score(i):
-            if i not in scored:
-                [scored[i]] = _worst_deviations(n, k, *full, [chunk[i]])
-            return scored[i]
-
-        for i, bound in enumerate(bounds):
-            if bound <= alpha and score(i) <= alpha:  # every earlier one scored above alpha
-                return chunk[i], scored[i], taken + i + 1
-        for i in sorted(range(len(chunk)), key=bounds.__getitem__):  # stable: ties by attempt
-            if (bounds[i], taken + i) >= best[:2]:
+        for bound in sorted(key(b, taken + i) for i, b in enumerate(_worst_deviations(n, k, *probe, chunk))):
+            if bound >= best[0]:
                 break
-            best = min(best, (score(i), taken + i, chunk[i]))
+            partition = chunk[bound[2] - taken]
+            [deviation] = _worst_deviations(n, k, *full, [partition])
+            best = min(best, (key(deviation, bound[2]), deviation, partition))
         taken += len(chunk)
+        if not best[0][0]:
+            return best[2], best[1], best[0][2] + 1
     if best[2] is None:
         raise ValueError("need at least one candidate partition")
-    return best[2], best[0], taken
+    return best[2], best[1], taken
 
 
 def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha: float) -> PartitionReport:

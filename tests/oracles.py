@@ -199,19 +199,18 @@ def auxiliary_by_definition(partite, family):
     return BipartiteGraph(partite.m, rows)
 
 
-def pi_search_one_at_a_time(partite, eps, p, budget, seed, strategy):
+def pi_search_one_at_a_time(partite, budget, seed, strategy):
     """The permutation search drawing, building and matching one attempt at
     a time: the reference for the block draws of find_matching_permutations."""
-    target = None if p is None else (0.5 + eps / 2.0) * partite.m * p
     for attempt in range(1, budget + 1):
         family = family_one_at_a_time(partite, seed, attempt, strategy)
         graph = auxiliary_by_definition(partite, family)
         matching = max_matching(graph)
         if matching.is_perfect():
             return PiSearch(True, family, matching, attempt,
-                            min_degree=graph.min_degree(), degree_target=target)
+                            min_degree=graph.min_degree())
     return PiSearch(False, None, None, budget,
-                    certificate=hall_certificate(graph, matching), degree_target=target)
+                    certificate=hall_certificate(graph, matching))
 
 
 # -- partition retries ------------------------------------------------------

@@ -234,6 +234,16 @@ def test_experiment_config_wrong_type_is_one_line_error(tmp_path, capsys):
     assert err.strip().splitlines() == ["error: config field 'n' must be int, got '60'"]
 
 
+@pytest.mark.parametrize("command,flag", [("partition", "--in"), ("experiment", "--config")])
+def test_undecodable_input_is_one_line_error_naming_the_path(tmp_path, capsys, command, flag):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"3 6\n0 1 2 \xff\n")
+    extra = ["--seed", "1", "--alpha", "0.1"] if command == "partition" else []
+    code, _, err = run_cli(capsys, command, flag, str(path), *extra)
+    assert code == 1
+    assert err.strip().splitlines() == [f"error: {path}:2: not UTF-8 text (invalid start byte at byte 10)"]
+
+
 def test_experiment_config_missing_fields_is_one_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 6}))

@@ -47,6 +47,19 @@ def test_hypergraph_malformed(tmp_path, text):
         read_hypergraph(path)
 
 
+@pytest.mark.parametrize("reader,data", [
+    (read_hypergraph, b"3 6\n0 1 2\n3 4 \xff\n"),
+    (read_bipartite, b"2\n0\n\xff\n"),
+    (read_extension_matrix, b"2\n01\n1\xff\n"),
+])
+def test_undecodable_file_names_its_path_and_line(tmp_path, reader, data):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(FormatError) as info:
+        reader(path)
+    assert str(info.value) == f"{path}:3: not UTF-8 text (invalid start byte at byte {data.index(0xff)})"
+
+
 def test_bipartite_round_trip(tmp_path):
     path = tmp_path / "b.txt"
     path.write_text("3\n0 2\n-\n1\n")

@@ -127,7 +127,7 @@ def _random_family(hp, seed):
 
 def test_translation_two_disjoint():
     hp = two_disjoint()
-    search = find_matching_permutations(hp, 0.1, None, 5, 0)
+    search = find_matching_permutations(hp, 5, 0)
     assert search.success
     edges = matching_to_edges(hp, search.family, search.matching)
     assert edges == ((0, 2, 4), (1, 3, 5))
@@ -144,15 +144,22 @@ def test_translation_rejects_partial():
 def test_find_permutations_all_transversals_first_attempt():
     hp = induce_partite(complete(6), PARTS6)
     for seed in range(5):
-        search = find_matching_permutations(hp, 0.2, 1.0, 10, seed)
+        search = find_matching_permutations(hp, 10, seed)
         assert search.success and search.attempts == 1
         assert search.min_degree == 2
-        assert search.degree_target == pytest.approx((0.5 + 0.1) * 2 * 1.0)
+
+
+def test_pi_search_takes_no_density_hint():
+    # old calls raise rather than rebind: every one passed eps and p
+    with pytest.raises(TypeError):
+        PipelineConfig(p=0.5)
+    with pytest.raises(TypeError):
+        find_matching_permutations(two_disjoint(), 0.1, None, 5, 0)
 
 
 def test_find_permutations_zero_edges_exhausts_budget():
     hp = induce_partite(Hypergraph(6, 3, []), PARTS6)
-    search = find_matching_permutations(hp, 0.2, 0.5, 7, 3)
+    search = find_matching_permutations(hp, 7, 3)
     assert not search.success and search.attempts == 7
     cert = search.certificate
     assert cert is not None
@@ -163,15 +170,15 @@ def test_find_permutations_strategies():
     h = sample_hypergraph(12, 3, 0.8, 5)
     p = BalancedPartition([range(0, 4), range(4, 8), range(8, 12)])
     hp = induce_partite(h, p)
-    pi1 = find_matching_permutations(hp, 0.2, 0.8, 50, 9, STRATEGY_PI1)
+    pi1 = find_matching_permutations(hp, 50, 9, STRATEGY_PI1)
     assert pi1.success
     assert pi1.family.maps[1] == hp.parts[1]  # identity kept on later parts
-    full = find_matching_permutations(hp, 0.2, 0.8, 50, 9, STRATEGY_FULL)
+    full = find_matching_permutations(hp, 50, 9, STRATEGY_FULL)
     assert full.success
     with pytest.raises(ValueError):
-        find_matching_permutations(hp, 0.2, 0.8, 0, 9)
+        find_matching_permutations(hp, 0, 9)
     with pytest.raises(ValueError):
-        find_matching_permutations(hp, 0.2, 0.8, 5, 9, "sideways")
+        find_matching_permutations(hp, 5, 9, "sideways")
 
 
 # (n, k, p, graph seed, partition seed) of the pi-search differential graphs
@@ -188,14 +195,14 @@ def _differential_partite(n, k, p, graph_seed, partition_seed):
 def test_pi_search_matches_one_at_a_time_loop(graph, strategy):
     hp = _differential_partite(*graph)
     for budget in (1, 2, 3, 4, 7, 8, 9, 2000):
-        expected = oracles.pi_search_one_at_a_time(hp, 0.2, graph[2], budget, 7, strategy)
-        assert find_matching_permutations(hp, 0.2, graph[2], budget, 7, strategy) == expected
+        expected = oracles.pi_search_one_at_a_time(hp, budget, 7, strategy)
+        assert find_matching_permutations(hp, budget, 7, strategy) == expected
 
 
 def test_pi_search_differential_covers_block_edges_and_insides():
     # attempt of the first success (pi1-only, full-random) at pi seed 7 and
     # budget 40: block edges 1, 2, 3, 4, 7 and 8, inside 13, never (40)
-    firsts = [tuple(oracles.pi_search_one_at_a_time(_differential_partite(*graph), 0.2, graph[2], 40, 7, s).attempts
+    firsts = [tuple(oracles.pi_search_one_at_a_time(_differential_partite(*graph), 40, 7, s).attempts
                     for s in pipeline.STRATEGIES) for graph in DIFFERENTIAL_GRAPHS]
     assert firsts == [(8, 13), (7, 8), (2, 3), (2, 4), (1, 3), (40, 40)]
 
@@ -205,9 +212,9 @@ def test_pi_search_differential_covers_block_edges_and_insides():
 def test_pi_search_parity_graph_matches_one_at_a_time_loop(k, strategy):
     hp = induce_partite(parity_adversary(complete(4 * k, k)).result, sample_balanced_partition(4 * k, k, 2))
     for budget in (9, 2000):
-        expected = oracles.pi_search_one_at_a_time(hp, 0.2, 1.0, budget, 3, strategy)
+        expected = oracles.pi_search_one_at_a_time(hp, budget, 3, strategy)
         assert not expected.success
-        assert find_matching_permutations(hp, 0.2, 1.0, budget, 3, strategy) == expected
+        assert find_matching_permutations(hp, budget, 3, strategy) == expected
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
@@ -250,9 +257,9 @@ def parity_n60_partite():
 
 @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_pi_search_matches_one_at_a_time_loop_at_benchmark_size(parity_n60_partite, strategy):
-    expected = oracles.pi_search_one_at_a_time(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy)
+    expected = oracles.pi_search_one_at_a_time(parity_n60_partite, 2000, 7, strategy)
     assert not expected.success
-    assert find_matching_permutations(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy) == expected
+    assert find_matching_permutations(parity_n60_partite, 2000, 7, strategy) == expected
 
 
 def test_pi_search_matches_one_at_a_time_loop_on_two_word_rows():
@@ -260,9 +267,9 @@ def test_pi_search_matches_one_at_a_time_loop_on_two_word_rows():
     hp = induce_partite(parity_adversary(sample_hypergraph(260, 2, 0.5, 3)).result,
                         sample_balanced_partition(260, 2, 3))
     assert hp.m == 130
-    expected = oracles.pi_search_one_at_a_time(hp, 0.2, 0.5, 70, 5, STRATEGY_PI1)
+    expected = oracles.pi_search_one_at_a_time(hp, 70, 5, STRATEGY_PI1)
     assert not expected.success
-    assert find_matching_permutations(hp, 0.2, 0.5, 70, 5, STRATEGY_PI1) == expected
+    assert find_matching_permutations(hp, 70, 5, STRATEGY_PI1) == expected
 
 
 @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
@@ -283,7 +290,7 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
 
     monkeypatch.setattr(rng, "apply_swaps", counting_swaps)
     monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
-    assert not find_matching_permutations(parity_n60_partite, 0.2, 0.5, 2000, 7, strategy).success
+    assert not find_matching_permutations(parity_n60_partite, 2000, 7, strategy).success
     assert decided == [20] * 2000
     shuffles = 2 if strategy == STRATEGY_FULL else 1
     sizes = [2**i for i in range(10)] + [2000 - 1023]  # the doubling blocks
@@ -334,11 +341,11 @@ def test_pi_search_runs_hopcroft_karp_once(monkeypatch, strategy):
     failing = induce_partite(parity_adversary(complete(12)).result, sample_balanced_partition(12, 3, 2))
     for budget in (1, 9, 300):
         calls.clear()
-        assert not find_matching_permutations(failing, 0.2, 1.0, budget, 4, strategy).success
+        assert not find_matching_permutations(failing, budget, 4, strategy).success
         assert len(calls) == 1
     graph = DIFFERENTIAL_GRAPHS[0]
     calls.clear()
-    search = find_matching_permutations(_differential_partite(*graph), 0.2, graph[2], 40, 7, strategy)
+    search = find_matching_permutations(_differential_partite(*graph), 40, 7, strategy)
     assert search.success and search.attempts > 1 and len(calls) == 1
 
 
@@ -376,8 +383,8 @@ def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
         assert block_sizes == [1, 2, 4, 2]
         assert redraws == [substream(4, 4 + r) for r in rejected]
         # the parity graph never succeeds, so the search tries every attempt
-        expected = oracles.pi_search_one_at_a_time(hp, 0.2, 1.0, 9, 4, strategy)
-        assert find_matching_permutations(hp, 0.2, 1.0, 9, 4, strategy) == expected
+        expected = oracles.pi_search_one_at_a_time(hp, 9, 4, strategy)
+        assert find_matching_permutations(hp, 9, 4, strategy) == expected
 
 
 def test_alpha_derivation():
@@ -427,7 +434,7 @@ def test_budgets_must_be_integers(bad):
             find_perfect_matching(residual, 0.2, cfg, 3)
     partite = induce_partite(residual, sample_balanced_partition(12, 3, 0))
     with pytest.raises(TypeError):
-        find_matching_permutations(partite, 0.2, None, bad, 3)
+        find_matching_permutations(partite, bad, 3)
 
 
 def test_budgets_take_numpy_ints_as_plain_ints():
@@ -438,7 +445,7 @@ def test_budgets_take_numpy_ints_as_plain_ints():
     assert not outcome.matched and (outcome.pi_attempts, outcome.partition_attempts) == (3, 2)
     assert type(outcome.pi_attempts) is int and type(outcome.partition_attempts) is int
     partite = induce_partite(residual, sample_balanced_partition(12, 3, 0))
-    assert type(find_matching_permutations(partite, 0.2, None, np.int64(4), 3).attempts) is int
+    assert type(find_matching_permutations(partite, np.int64(4), 3).attempts) is int
 
 
 def test_partition_retries_score_few_candidates_on_every_key(monkeypatch):
@@ -460,6 +467,22 @@ def test_partition_retries_score_few_candidates_on_every_key(monkeypatch):
         outcome = run_trial(cfg, trial)
         assert outcome.partition_attempts == 20 and not outcome.partition_passed
         assert len(full) - sum(full) == 20 and 1 <= sum(full) <= 3
+
+
+@pytest.mark.parametrize("fields,trials,scorings", [
+    (dict(n=60, p=0.5, adversary="greedy", partition_retries=50, pi_budget=200), 10, 16),
+    (dict(n=240, p=0.2, adversary="none", partition_retries=20, pi_budget=100), 2, 2),
+], ids=["greedy-n60", "none-n240"])
+def test_partition_search_work_on_benchmark_graphs(partition_work, fields, trials, scorings):
+    # no retry passes on the benchmark graphs at seed 2024, so every
+    # candidate is drawn, and only the few that can still win are scored
+    # on every key, each once
+    drawn, scored = partition_work
+    cfg = ExperimentConfig(k=3, epsilon=0.2, trials=trials, base_seed=2024, strategy=STRATEGY_FULL, **fields)
+    for trial in range(trials):
+        assert not run_trial(cfg, trial).partition_passed
+    assert len(drawn) == trials * cfg.partition_retries
+    assert len(scored) == len(set(scored)) == scorings
 
 
 def test_pipeline_deterministic():

@@ -17,7 +17,7 @@ from hypermatch import (
     verify_partition,
 )
 
-from hypermatch import sampling
+from hypermatch import pipeline, sampling
 from hypermatch.rng import Rng, substream
 from hypermatch.sampling import _part_counts, _probe, choose_partition
 
@@ -352,7 +352,7 @@ def test_choose_partition_matches_one_at_a_time_loop(graph, alpha):
 
 
 @pytest.mark.parametrize("attempt", [1, 12, 31, 32, 33, 70])
-def test_choose_partition_passes_at_the_first_candidate_within_alpha(attempt):
+def test_choose_partition_passes_at_the_first_candidate_within_alpha(attempt, partition_work):
     # chunks hold 32 candidates: a pass at retry 1, inside the first chunk,
     # at either side of its end and inside the third
     h = sample_hypergraph(30, 3, 0.5, 7)
@@ -360,6 +360,12 @@ def test_choose_partition_passes_at_the_first_candidate_within_alpha(attempt):
     deviations = [partition_worst_deviation(h, c) for c in candidates]
     candidates.insert(attempt - 1, candidates.pop(deviations.index(min(deviations))))
     assert _assert_choice_matches_loop(h, candidates, min(deviations))[:2] == (attempt, True)
+    # no candidate past the chunk of the pass is drawn, and none is scored on every key twice
+    drawn, scored = partition_work
+    pipeline.choose_partition(h, iter(candidates), min(deviations))
+    chunk = sampling._RETRY_CHUNK
+    assert len(drawn) == min(len(candidates), -(-attempt // chunk) * chunk)
+    assert len(scored) == len(set(scored))
 
 
 def test_choose_partition_keeps_the_first_of_tied_least_deviations():
