@@ -72,7 +72,13 @@ def parity_adversary(hypergraph: Hypergraph, v1: Optional[Iterable[int]] = None)
     if len(chosen) % 2 == 0:
         raise ValueError("v1 must have odd size")
     edges = hypergraph.edge_array
-    kept = edges[np.isin(edges, chosen).sum(axis=1) % 2 == 0]
+    member = np.zeros(hypergraph.n, dtype=np.uint8)
+    member[list(chosen)] = 1
+    columns = edges.T
+    odd = member[columns[0]]  # parity of each edge's V1 count, one column at a time
+    for column in columns[1:]:
+        odd ^= member[column]
+    kept = np.compress(odd == 0, edges, axis=0)
     result = Hypergraph._trusted(hypergraph.n, hypergraph.k, kept)
     return AdversaryOutcome(
         result=result,

@@ -10,7 +10,9 @@ Rows may also be given as int bitmasks (bit v set: adjacent to right vertex
 v). On those, ``_is_perfect`` decides whether a perfect matching exists
 without building one: a greedy first-free matching, then one bitset
 breadth-first augmenting search per unmatched row, stopping at the first row
-that has none. The pi-search decides each attempt with it and runs
+that has none. The pi-search first screens each attempt by the components
+of its row table (an attempt with more rows than last-part vertices in a
+component cannot match), decides only the balanced ones with it, and runs
 Hopcroft-Karp only on the graph whose matching it reports.
 """
 

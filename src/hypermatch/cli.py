@@ -18,6 +18,7 @@ from .adversary import greedy_budget_adversary, parity_adversary
 from .bipartite import hall_certificate, max_matching
 from .extensions import extension_stats_empirical, extension_stats_exact
 from .fileio import (
+    FormatError,
     read_bipartite,
     read_extension_matrix,
     read_hypergraph,
@@ -134,7 +135,11 @@ def _cmd_experiment(args) -> int:
     if args.config is None:
         cfg = exp.ExperimentConfig.from_dict(_given(args, exp.ExperimentConfig))
     else:
-        cfg = exp.ExperimentConfig.from_json(read_text(args.config))
+        text = read_text(args.config)
+        try:
+            cfg = exp.ExperimentConfig.from_json(text)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{args.config}:{exc.lineno}: not valid JSON ({exc.msg} at column {exc.colno})") from None
     outcomes = exp.run_experiment(cfg, workers=args.workers)
     recs = exp.records(outcomes)
     if args.out:

@@ -11,7 +11,8 @@ that holds it (int32 while C(n, k-1) * n < 2^31, else int64); the arrays
 are int64 and read-only, so hypergraphs are safe to share across threads.
 
 Also here: balanced vertex partitions, the k-partite restriction (an edge
-array whose delta* is counted in the pass that builds its row bitmasks),
+array whose delta* is counted in the pass that builds its row bitmasks,
+and whose row table's connected components screen pi-search attempts),
 perfect matching verification with reason codes, and the backtracking
 oracles that find or count perfect matchings at desk scale.
 """
@@ -304,21 +305,22 @@ class PartiteHypergraph:
     """k-partite restriction: every edge meets each part exactly once. Holds
     the kept ``edge_array``; ``hypergraph`` indexes it on first read."""
 
-    __slots__ = ("edge_array", "partition", "_hypergraph", "_rows")
+    __slots__ = ("edge_array", "partition", "_hypergraph", "_rows", "_components")
 
     def __init__(self, hypergraph: Hypergraph, partition: BalancedPartition):
         transversal = _transversal_mask(hypergraph, partition)
         if not transversal.all():
             e = tuple(hypergraph.edge_array[np.argmin(transversal)].tolist())
             raise ValueError(f"edge {e} is not a transversal of the partition")
-        self.edge_array, self.partition, self._hypergraph, self._rows = (
-            hypergraph.edge_array, partition, hypergraph, None)
+        self.edge_array, self.partition, self._hypergraph = hypergraph.edge_array, partition, hypergraph
+        self._rows = self._components = None
 
     @classmethod
     def _trusted(cls, edge_array: np.ndarray, partition: BalancedPartition) -> "PartiteHypergraph":
         """Internal fast path: rows as in Hypergraph, each meeting every part once."""
         obj = object.__new__(cls)
-        obj.edge_array, obj.partition, obj._hypergraph, obj._rows = edge_array, partition, None, None
+        obj.edge_array, obj.partition, obj._hypergraph = edge_array, partition, None
+        obj._rows = obj._components = None
         return obj
 
     @property
@@ -349,6 +351,16 @@ class PartiteHypergraph:
         included; every edge is transversal, so that is the co-degree of X."""
         return self._row_table()[2]
 
+    def _part_columns(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(position, columns): ``position[v]`` is v's index inside its part,
+        and ``columns[j][e]`` the position of edge e's vertex in part j."""
+        position = np.empty(self.n, dtype=np.int64)
+        position[np.asarray(self.parts)] = np.arange(self.m)
+        edges = self.edge_array
+        by_part = np.empty_like(edges)  # column j: the vertex in part j
+        by_part[np.arange(len(edges))[:, None], np.asarray(self.partition.assignment)[edges]] = edges
+        return position, list(position[by_part].T)
+
     def _row_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(position, masks, delta*), built on first use: ``position[v]`` is
         v's index inside its part, and bit v of the int
@@ -358,12 +370,7 @@ class PartiteHypergraph:
         0..k-2 to an edge."""
         if self._rows is None:
             m, k = self.m, self.k
-            position = np.empty(self.n, dtype=np.int64)
-            position[np.asarray(self.parts)] = np.arange(m)
-            edges = self.edge_array
-            by_part = np.empty_like(edges)  # column j: the vertex in part j
-            by_part[np.arange(len(edges))[:, None], np.asarray(self.partition.assignment)[edges]] = edges
-            columns = list(position[by_part].T)
+            position, columns = self._part_columns()
             # tuple ranks with part i left out; their counts are the co-degrees
             ranks = [np.ravel_multi_index(columns[:i] + columns[i + 1:], (m,) * (k - 1)) for i in range(k)]
             dstar = min(int(np.bincount(r, minlength=m ** (k - 1)).min()) for r in ranks)
@@ -379,6 +386,42 @@ class PartiteHypergraph:
                 masks |= table[w].astype(object) << 64 * w
             self._rows = (position, masks, dstar)
         return self._rows
+
+    def _row_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """(labels, sizes), built on first use: ``labels[t]`` is the connected
+        component of row-table entry t in the bipartite graph between the
+        m^(k-1) entries and the last part that the row masks describe, and
+        ``sizes[c]`` the number of last-part vertices in component c. The
+        components holding a last-part vertex come first, ordered by their
+        least vertex; entries without an edge share the last class, of size 0.
+
+        Every auxiliary graph is a subgraph of this one, so its rows in a
+        component can only match inside it: an attempt whose row count
+        differs from ``sizes`` in any component has no perfect matching."""
+        if self._components is None:
+            m, k = self.m, self.k
+            _, columns = self._part_columns()
+            index, right = np.ravel_multi_index(columns[:-1], (m,) * (k - 1)), columns[-1]
+            # root[v]: the least last-part vertex known to share v's component;
+            # each round hooks every root to the least root an entry joins it
+            # to, then jumps pointers until each vertex names its root
+            root = np.arange(m)
+            while True:
+                least = np.full(m ** (k - 1), m)
+                np.minimum.at(least, index, root[right])
+                hooked = root.copy()
+                np.minimum.at(hooked, root[right], least[index])
+                while not np.array_equal(hooked, hooked[hooked]):
+                    hooked = hooked[hooked]
+                if np.array_equal(hooked, root):
+                    break
+                root = hooked
+            # unchanged: every entry's vertices share one root
+            _, of_root, sizes = np.unique(root, return_inverse=True, return_counts=True)
+            labels = np.full(m ** (k - 1), len(sizes))
+            labels[index] = of_root[right]
+            self._components = (labels, np.append(sizes, 0))
+        return self._components
 
     def __repr__(self) -> str:
         return f"PartiteHypergraph(n={self.n}, k={self.k}, edges={len(self.edge_array)})"

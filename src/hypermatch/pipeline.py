@@ -18,11 +18,15 @@ d. searches permutation families pi: rows i of the auxiliary bipartite
    auxiliary graph has a perfect matching wins. Attempt t draws pi from its
    own substream; rng.permutations draws each doubling block of attempts
    (1, 2-3, 4-7, ..., at most 1,024) as one array, and the block's rows are
-   gathered from the row table at once. Rows are bitmasks, and each
-   attempt is decided by an exact bitset perfect-or-not test; Hopcroft-Karp
-   runs only on the winner, whose matching is translated, and on the last
-   attempt of a failed search, whose maximum matching yields the Hall
-   certificate;
+   looked up in the row table at once. Every auxiliary graph is a
+   subgraph of the row table's graph between the tuples of parts 0..k-2
+   and the last part, so once attempt 1 has failed, each attempt is first
+   screened by that graph's components: one with more rows in a component
+   than the component has last-part vertices has no perfect matching.
+   Rows are bitmasks, and only the balanced attempts are decided by an
+   exact bitset perfect-or-not test; Hopcroft-Karp runs only on the
+   winner, whose matching is translated, and on the last attempt of a
+   failed search, whose maximum matching yields the Hall certificate;
 e. translates the bipartite matching back to hyperedges and verifies it.
 
 A perfect matching of the auxiliary graph always translates to a perfect
@@ -96,27 +100,42 @@ def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> Bi
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
     position, _, _ = partite._row_table()
-    [masks] = _block_masks(partite, position[np.asarray(family.maps)][None])
+    [masks] = _gathered(partite, _row_index(partite, position[np.asarray(family.maps)][None]))
     return BipartiteGraph._from_masks(masks)
 
 
-def _block_masks(partite: PartiteHypergraph, local: np.ndarray) -> Iterator[list[int]]:
-    """Row bitmasks of the auxiliary graph of each family in a block, in
-    turn: family b puts parts[j][local[b, j, i]] in row i, identity past
-    local.shape[1]. One row index serves the whole block; the rows are
-    gathered from the row table _GATHER_ROWS families at a time."""
-    _, table, _ = partite._row_table()
+def _row_index(partite: PartiteHypergraph, local: np.ndarray) -> np.ndarray:
+    """(B, m) row-table entries of the families in a block: family b puts
+    parts[j][local[b, j, i]] in row i, identity past local.shape[1]."""
     m = partite.m
     index = local[:, 0]
     for j in range(1, partite.k - 1):
         index = index * m
         index += local[:, j] if j < local.shape[1] else np.arange(m)
+    return index
+
+
+def _gathered(partite: PartiteHypergraph, index: np.ndarray) -> Iterator[list[int]]:
+    """Row bitmasks of the families with row-table entries index[b], in
+    turn, gathered from the row table _GATHER_ROWS families at a time."""
+    _, table, _ = partite._row_table()
     for start in range(0, len(index), _GATHER_ROWS):
         yield from table[index[start:start + _GATHER_ROWS]].tolist()
 
 
+def _balanced(partite: PartiteHypergraph, index: np.ndarray) -> list[int]:
+    """Positions b whose family puts as many rows in each row-table component
+    as that component has last-part vertices; the others have no perfect
+    matching (PartiteHypergraph._row_components)."""
+    labels, sizes = partite._row_components()
+    count = len(sizes)
+    flat = labels[index] + count * np.arange(len(index))[:, None]
+    rows = np.bincount(flat.ravel(), minlength=count * len(index)).reshape(-1, count)
+    return np.flatnonzero((rows == sizes).all(axis=1)).tolist()
+
+
 def _family_at(partite: PartiteHypergraph, local: np.ndarray) -> PermutationFamily:
-    """The vertex family of part-local positions as _block_masks reads them."""
+    """The vertex family of part-local positions as _row_index reads them."""
     maps = tuple(tuple(part[p] for p in perm) for part, perm in zip(partite.parts, local.tolist()))
     return PermutationFamily(maps + partite.parts[len(local):-1])
 
@@ -176,10 +195,14 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     shuffles each randomized part with the stream substream(seed, t), so
     retries are independent and the search is deterministic in (inputs,
     seed). Families come as block arrays of attempts (_drawn_positions),
-    and each block's auxiliary rows are gathered at once
-    (_block_masks); per attempt, only bipartite._is_perfect runs on the
-    row bitmasks. Only the winner is built as vertices; Hopcroft-Karp runs
-    once, on the winner or on the last attempt of a failed search.
+    each a block of row-table entries (_row_index). Once attempt 1 has
+    failed, one bincount per block screens the attempts by the table's
+    components (_balanced): an attempt with more rows in a component than
+    that component has last-part vertices has no perfect matching. Only
+    the balanced attempts' row bitmasks are gathered (_gathered) and
+    decided by bipartite._is_perfect. Only the winner is built as vertices;
+    Hopcroft-Karp runs once, on the winner or on the last attempt of a
+    failed search.
     """
     budget = operator.index(budget)
     if budget < 1:
@@ -189,14 +212,18 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
     tried = 0
     for block in _drawn_positions(partite.m, shuffles, seed, budget):
-        for b, masks in enumerate(_block_masks(partite, block)):
+        index = _row_index(partite, block)
+        # attempt 1 is decided alone; once it fails, table components screen the rest
+        kept = _balanced(partite, index) if tried else range(len(block))
+        for b, masks in zip(kept, _gathered(partite, index[kept])):
             if _is_perfect(masks):
                 graph = BipartiteGraph._from_masks(masks)
                 return PiSearch(
                     success=True, family=_family_at(partite, block[b]), matching=max_matching(graph),
                     attempts=tried + b + 1, min_degree=graph.min_degree())
         tried += len(block)
-    graph = BipartiteGraph._from_masks(masks)  # of the last attempt
+    [masks] = _gathered(partite, index[-1:])  # the last attempt's rows
+    graph = BipartiteGraph._from_masks(masks)
     return PiSearch(success=False, family=None, matching=None, attempts=budget,
                     certificate=hall_certificate(graph))
 

@@ -51,6 +51,18 @@ def test_parity_keeps_even_intersections_only():
     assert set(out.result.edges) == {e for e in h.edges if len(v1set & set(e)) % 2 == 0}
 
 
+@pytest.mark.parametrize("n,k,p,v1", [
+    (9, 2, 0.6, (1, 4, 8)), (12, 3, 0.5, (0, 3, 5, 6, 11)), (12, 4, 0.5, (2,)),
+    (12, 5, 0.4, (0, 1, 2, 7, 9, 10, 11)), (60, 3, 0.5, None)])
+def test_parity_residual_equals_set_filter(n, k, p, v1):
+    h = sample_hypergraph(n, k, p, n + k)
+    out = parity_adversary(h, v1)
+    v1set = set(out.params["v1"])
+    kept = [e for e in h.edges if len(v1set & set(e)) % 2 == 0]
+    assert out.result.edges == tuple(kept)
+    assert out.deleted == h.edge_count() - len(kept)
+
+
 def test_parity_singleton_isolates_vertex():
     h = complete(6)
     out = parity_adversary(h, v1=(0,))

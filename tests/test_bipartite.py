@@ -287,5 +287,5 @@ def test_bitset_decision_on_parity_auxiliary_graphs(n, k):
     h = parity_adversary(sample_hypergraph(n, k, 0.5, n)).result
     hp = induce_partite(h, sample_balanced_partition(n, k, 1))
     for block in pipeline._drawn_positions(hp.m, k - 1, 5, 150):
-        for masks in pipeline._block_masks(hp, block):
+        for masks in pipeline._gathered(hp, pipeline._row_index(hp, block)):
             _assert_decision_agrees(BipartiteGraph._from_masks(masks))

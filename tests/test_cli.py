@@ -244,6 +244,17 @@ def test_undecodable_input_is_one_line_error_naming_the_path(tmp_path, capsys, c
     assert err.strip().splitlines() == [f"error: {path}:2: not UTF-8 text (invalid start byte at byte 10)"]
 
 
+@pytest.mark.parametrize("text,where", [
+    ('{"n": 6,', "1: not valid JSON (Expecting property name enclosed in double quotes at column 9)"),
+    ('{"n": 6,\n "k": 3\n "p": 1}', "3: not valid JSON (Expecting ',' delimiter at column 2)"),
+    ("", "1: not valid JSON (Expecting value at column 1)"),
+])
+def test_experiment_config_invalid_json_is_one_line_error_naming_the_path(tmp_path, capsys, text, where):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    assert run_cli(capsys, "experiment", "--config", str(cfg_path)) == (1, "", f"error: {cfg_path}:{where}\n")
+
+
 def test_experiment_config_missing_fields_is_one_line_error(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n": 6}))

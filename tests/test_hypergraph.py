@@ -16,6 +16,7 @@ from hypermatch import (
     check_perfect_matching,
     count_perfect_matchings,
     induce_partite,
+    parity_adversary,
     sample_balanced_partition,
     sample_hypergraph,
     verify_partition,
@@ -403,6 +404,74 @@ def test_partite_view_equals_the_kept_edges(seed):
     assert checked.min_transversal_codegree() == hp.min_transversal_codegree()
     for built, kept in zip(checked._row_table(), hp._row_table()):
         assert np.array_equal(built, kept)
+
+
+def _components_by_networkx(partite):
+    """(labels, sizes) of PartiteHypergraph._row_components from
+    networkx.connected_components of the graph joining entry
+    t = sum_j p_j * m^(k-2-j) to last-part position v for every edge with
+    positions p_0..p_{k-2}, v in its parts."""
+    nx = pytest.importorskip("networkx")
+    m, k = partite.m, partite.k
+    where = {v: (j, i) for j, part in enumerate(partite.parts) for i, v in enumerate(part)}
+    g = nx.Graph()
+    g.add_nodes_from(("entry", t) for t in range(m ** (k - 1)))
+    g.add_nodes_from(("vertex", v) for v in range(m))
+    for edge in partite.edge_array.tolist():
+        positions = [i for _, i in sorted(where[v] for v in edge)]
+        g.add_edge(("entry", sum(i * m ** (k - 2 - j) for j, i in enumerate(positions[:-1]))),
+                   ("vertex", positions[-1]))
+    with_vertices = sorted((sorted(i for kind, i in c if kind == "vertex"), [i for kind, i in c if kind == "entry"])
+                           for c in nx.connected_components(g) if any(kind == "vertex" for kind, _ in c))
+    labels = np.full(m ** (k - 1), len(with_vertices))
+    for c, (_, entries) in enumerate(with_vertices):
+        labels[entries] = c
+    return labels, [len(vertices) for vertices, _ in with_vertices] + [0]
+
+
+def _chain_partite(m):
+    """k=2 table shaped as one path through all 2m nodes, in scrambled order:
+    a[i] - b[i] - a[i+1] for a[i] = 7i mod m, b[i] = 11i mod m (m prime to 77)."""
+    a, b = [(7 * i) % m for i in range(m)], [(11 * i) % m for i in range(m)]
+    edges = [(a[i], m + b[i]) for i in range(m)] + [(a[i + 1], m + b[i]) for i in range(m - 1)]
+    return induce_partite(Hypergraph(2 * m, 2, edges), BalancedPartition([range(m), range(m, 2 * m)]))
+
+
+def _without(partite, vertices):
+    """The partite graph without the edges through the given vertices."""
+    kept = ~np.isin(partite.edge_array, vertices).any(axis=1)
+    return hg.PartiteHypergraph._trusted(partite.edge_array[kept], partite.partition)
+
+
+def _sampled_partite(n, k, p, seed):
+    return induce_partite(sample_hypergraph(n, k, p, seed), sample_balanced_partition(n, k, seed))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: _sampled_partite(12, 2, 0.2, 1),
+    lambda: _sampled_partite(12, 2, 0.8, 2),
+    lambda: _sampled_partite(18, 3, 0.15, 3),
+    lambda: _sampled_partite(18, 3, 0.6, 4),
+    lambda: _sampled_partite(16, 4, 0.1, 5),
+    lambda: _sampled_partite(16, 4, 0.5, 6),
+    lambda: induce_partite(parity_adversary(sample_hypergraph(16, 4, 0.7, 7)).result,
+                           sample_balanced_partition(16, 4, 7)),
+    lambda: _chain_partite(31),
+    lambda: _chain_partite(64),
+    # an isolated last-part vertex, and every tuple through one part-0 vertex without an edge
+    lambda: _without(_sampled_partite(18, 3, 0.5, 8), [sample_balanced_partition(18, 3, 8).parts[i][0]
+                                                       for i in (0, 2)]),
+    lambda: _without(_sampled_partite(16, 4, 0.6, 9), list(sample_balanced_partition(16, 4, 9).parts[3][:2])),
+    lambda: _without(_sampled_partite(12, 3, 0.5, 0), list(range(12))),
+], ids=["k2-sparse", "k2-dense", "k3-sparse", "k3-dense", "k4-sparse", "k4-dense", "k4-parity",
+        "k2-chain-31", "k2-chain-64", "k3-isolated", "k4-isolated", "k3-empty"])
+def test_row_components_equal_connected_components(build):
+    hp = build()
+    labels, sizes = hp._row_components()
+    expected_labels, expected_sizes = _components_by_networkx(hp)
+    assert np.array_equal(labels, expected_labels)
+    assert sizes.tolist() == expected_sizes
+    assert hp._row_components() is hp._row_components()
 
 
 # -- perfect matchings ----------------------------------------------------------

@@ -217,6 +217,59 @@ def test_pi_search_parity_graph_matches_one_at_a_time_loop(k, strategy):
         assert find_matching_permutations(hp, budget, 3, strategy) == expected
 
 
+def _even_split_partite(n, k, p, seed, size):
+    """Partite graph of the edges of H(n, k, p) meeting [0, size) an even
+    number of times. With size even a perfect matching can survive while
+    the row table falls into components, so the component screen passes
+    some attempts and rejects others."""
+    edges = sample_hypergraph(n, k, p, seed).edge_array
+    kept = edges[(edges < size).sum(axis=1) % 2 == 0]
+    return induce_partite(Hypergraph(n, k, kept.tolist()), sample_balanced_partition(n, k, seed))
+
+
+# (n, k, p, seed, size) of _even_split_partite; size 0 keeps every edge
+EVEN_SPLIT_GRAPHS = [(18, 3, 0.5, 0, 8), (18, 3, 0.3, 2, 6), (16, 4, 0.5, 0, 8), (16, 4, 0.5, 2, 8),
+                     (20, 4, 0.6, 2, 10), (12, 2, 0.3, 1, 4), (12, 2, 0.35, 0, 0), (12, 3, 0.2, 1, 0),
+                     (12, 3, 0.8, 3, 0)]
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+def test_component_screen_rejects_only_graphs_without_perfect_matching(strategy):
+    graphs = [_even_split_partite(*graph) for graph in EVEN_SPLIT_GRAPHS] + [
+        induce_partite(parity_adversary(sample_hypergraph(n, k, 0.6, n)).result, sample_balanced_partition(n, k, n))
+        for n, k in [(12, 2), (18, 3), (16, 4)]]
+    rejected = kept = 0
+    for hp in graphs:
+        shuffles = hp.k - 1 if strategy == STRATEGY_FULL else 1
+        for block in pipeline._drawn_positions(hp.m, shuffles, 5, 40):
+            balanced = pipeline._balanced(hp, pipeline._row_index(hp, block))
+            for b, local in enumerate(block):
+                if b not in balanced:
+                    graph = oracles.auxiliary_by_definition(hp, pipeline._family_at(hp, local))
+                    assert not oracles.perfect_matching_exists(graph.adjacency)
+                rejected += b not in balanced
+                kept += b in balanced
+    assert rejected > 200 and kept > 50
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+@pytest.mark.parametrize("graph", EVEN_SPLIT_GRAPHS + [(195, 3, 0.5, 1, 64), (195, 3, 0.1, 1, 64)])
+def test_pi_search_on_split_tables_matches_one_at_a_time_loop(graph, strategy):
+    hp = _even_split_partite(*graph)
+    for budget in (1, 2, 3, 9, 30):
+        expected = oracles.pi_search_one_at_a_time(hp, budget, 3, strategy)
+        assert find_matching_permutations(hp, budget, 3, strategy) == expected
+
+
+def test_pi_search_on_parity_table_with_multiword_rows_matches_one_at_a_time_loop():
+    """k=3 with m=65: every attempt after the first is screened out."""
+    hp = induce_partite(parity_adversary(sample_hypergraph(195, 3, 0.5, 2)).result, sample_balanced_partition(195, 3, 2))
+    assert hp.m == 65
+    expected = oracles.pi_search_one_at_a_time(hp, 12, 5, STRATEGY_PI1)
+    assert not expected.success
+    assert find_matching_permutations(hp, 12, 5, STRATEGY_PI1) == expected
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_block_draws_equal_scalar_families(k, strategy):
@@ -274,9 +327,11 @@ def test_pi_search_matches_one_at_a_time_loop_on_two_word_rows():
 
 @pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
 def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
-    """Per attempt, a 2,000-attempt search runs the bitset decision and
-    nothing else in Python: the scalar swaps run only for the blocks drawn
-    below the block-loop crossover."""
+    """A 2,000-attempt parity search runs the bitset decision once, on
+    attempt 1: every later attempt puts more rows in a row-table component
+    than it has last-part vertices, so the component screen rejects it. The
+    scalar swaps run only for the blocks drawn below the block-loop
+    crossover."""
     swapped, decided = [], []
     unpatched_swaps, unpatched_decision = rng.apply_swaps, pipeline._is_perfect
 
@@ -291,7 +346,7 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
     monkeypatch.setattr(rng, "apply_swaps", counting_swaps)
     monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
     assert not find_matching_permutations(parity_n60_partite, 2000, 7, strategy).success
-    assert decided == [20] * 2000
+    assert decided == [20]
     shuffles = 2 if strategy == STRATEGY_FULL else 1
     sizes = [2**i for i in range(10)] + [2000 - 1023]  # the doubling blocks
     assert sum(sizes) == 2000
