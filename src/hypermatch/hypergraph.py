@@ -125,7 +125,7 @@ class Hypergraph:
         # one in-place sort of rank * n + completion in the ranks' type; keys start at pair 0 and rank changes
         packed = _subset_ranks(n, edge_array)
         packed *= n
-        packed += edge_array.T
+        packed += edge_array.T.astype(packed.dtype)
         packed = packed.reshape(-1)
         packed.sort()
         ranks = packed // n
@@ -351,15 +351,24 @@ class PartiteHypergraph:
         included; every edge is transversal, so that is the co-degree of X."""
         return self._row_table()[2]
 
-    def _part_columns(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(position, columns): ``position[v]`` is v's index inside its part,
-        and ``columns[j][e]`` the position of edge e's vertex in part j."""
-        position = np.empty(self.n, dtype=np.int64)
-        position[np.asarray(self.parts)] = np.arange(self.m)
-        edges = self.edge_array
-        by_part = np.empty_like(edges)  # column j: the vertex in part j
-        by_part[np.arange(len(edges))[:, None], np.asarray(self.partition.assignment)[edges]] = edges
-        return position, list(position[by_part].T)
+    def _tuple_ranks(self, groups: list[list[int]]) -> list[np.ndarray]:
+        """For each list of parts, every edge's part-local rank over them:
+        sum_j p_j * m^(len-1-j), p_j the position inside the j-th listed part
+        of the edge's vertex there. Each is a sum of k lookups, one per edge
+        column, in a per-vertex weight table that holds position times
+        m^(len-1-j) on the j-th listed part and 0 elsewhere."""
+        m, parts = self.m, np.asarray(self.parts)
+        columns = np.ascontiguousarray(self.edge_array.T)
+        ranks = []
+        for group in groups:
+            weight = np.zeros(self.n, dtype=np.int64)
+            for place, part in enumerate(group):
+                weight[parts[part]] = np.arange(m) * m ** (len(group) - 1 - place)
+            rank = weight.take(columns[0])
+            for column in columns[1:]:
+                rank += weight.take(column)
+            ranks.append(rank)
+        return ranks
 
     def _row_table(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(position, masks, delta*), built on first use: ``position[v]`` is
@@ -367,19 +376,20 @@ class PartiteHypergraph:
         ``masks[sum_j p_j * m^(k-2-j)]`` (an object array, so one fancy index
         gathers a block of rows) is set exactly when last-part position v
         completes the transversal tuple with positions p_0..p_{k-2} in parts
-        0..k-2 to an edge."""
+        0..k-2 to an edge. The tuple ranks come from per-vertex weight tables
+        (_tuple_ranks), with each part left out in turn for delta*."""
         if self._rows is None:
             m, k = self.m, self.k
-            position, columns = self._part_columns()
+            position = np.empty(self.n, dtype=np.int64)
+            position[np.asarray(self.parts)] = np.arange(m)
             # tuple ranks with part i left out; their counts are the co-degrees
-            ranks = [np.ravel_multi_index(columns[:i] + columns[i + 1:], (m,) * (k - 1)) for i in range(k)]
+            *ranks, right = self._tuple_ranks([[j for j in range(k) if j != i] for i in range(k)] + [[k - 1]])
             dstar = min(int(np.bincount(r, minlength=m ** (k - 1)).min()) for r in ranks)
             # each row as `words` little-endian uint64s; edges are distinct, so
             # the bits added into one byte are too, and their sum is their OR
             words = (m + 63) // 64
-            index, right = ranks[-1], columns[-1]
             packed = np.zeros(m ** (k - 1) * 8 * words, dtype=np.uint8)
-            np.add.at(packed, index * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
+            np.add.at(packed, ranks[-1] * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
             table = packed.view("<u8").reshape(-1, words).T
             masks = table[0].astype(object)  # Python ints, so masks wider than 64 bits join exactly
             for w in range(1, words):
@@ -400,8 +410,7 @@ class PartiteHypergraph:
         differs from ``sizes`` in any component has no perfect matching."""
         if self._components is None:
             m, k = self.m, self.k
-            _, columns = self._part_columns()
-            index, right = np.ravel_multi_index(columns[:-1], (m,) * (k - 1)), columns[-1]
+            index, right = self._tuple_ranks([list(range(k - 1)), [k - 1]])
             # root[v]: the least last-part vertex known to share v's component;
             # each round hooks every root to the least root an entry joins it
             # to, then jumps pointers until each vertex names its root

@@ -4,14 +4,18 @@ Given a k-uniform hypergraph H with k | n, the pipeline
 
 a. derives the partition tolerance alpha = eps / (1 + 2*eps), the largest
    value with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2 (met with equality);
-b. draws the balanced partitions of the retries in the doubling blocks of
-   step d and keeps the first whose co-degree split passes at alpha, else
-   the first of least worst deviation (small instances rarely pass;
-   matching success decides). sampling.choose_partition bounds each retry
-   on the lowest-degree keys, in packed blocks, and counts every key only
-   for the few retries that can still pass or win;
+b. draws the balanced partitions of the retries as part-label blocks, 32
+   retries from one rng.permutations call, and keeps the first whose
+   co-degree split passes at alpha, else the first of least worst deviation
+   (small instances rarely pass; matching success decides).
+   sampling.choose_partition bounds each retry on the lowest-degree keys in
+   packed words of k-1 fields per retry (the last part's count is the
+   co-degree minus the others'), and counts every key only for the few
+   retries that can still pass or win, as many in one pass as a word holds;
+   only the winner is built as a partition;
 c. induces the k-partite restriction H' and records its minimum transversal
-   co-degree, counted in the pass that builds the row bitmasks of step d;
+   co-degree, counted in the pass that builds the row bitmasks of step d
+   from per-vertex weight tables;
 d. searches permutation families pi: rows i of the auxiliary bipartite
    graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
    exactly when the combined k-set is an edge of H'. The first pi whose
@@ -52,7 +56,6 @@ from .bipartite import (
     max_matching,
 )
 from .hypergraph import (
-    BalancedPartition,
     Edge,
     Hypergraph,
     MatchingCheck,
@@ -61,7 +64,7 @@ from .hypergraph import (
     induce_partite,
 )
 from .rng import permutations, substream, substreams
-from .sampling import choose_partition
+from .sampling import _partition_labels, choose_partition
 
 STRATEGY_PI1 = "pi1-only"
 STRATEGY_FULL = "full-random"
@@ -172,13 +175,13 @@ class PiSearch:
     min_degree: Optional[int] = None
 
 
-def _drawn_positions(m: int, shuffles: int, seed: int, count: int, first: int = 1) -> Iterator[np.ndarray]:
-    """Part-local positions of draws first..first+count-1 as (B, shuffles, m)
-    blocks, B doubling (1, 2, 4, ...) up to _MAX_BLOCK: row t of the
-    concatenated blocks is draw first + t, the ``shuffles`` successive
-    ``Rng.permutation(m)`` draws of the stream substream(seed, first + t),
-    all drawn by one rng.permutations call per block."""
-    stop, size = first + count, 1
+def _drawn_positions(m: int, shuffles: int, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Part-local positions of attempts 1..count as (B, shuffles, m) blocks,
+    B doubling (1, 2, 4, ...) up to _MAX_BLOCK: row t of the concatenated
+    blocks is attempt t + 1, the ``shuffles`` successive
+    ``Rng.permutation(m)`` draws of the stream substream(seed, t + 1), all
+    drawn by one rng.permutations call per block."""
+    first, stop, size = 1, count + 1, 1
     while first < stop:
         labels = np.arange(first, min(first + size, stop), dtype=np.uint64)
         yield permutations(substreams(seed, labels), m, shuffles)
@@ -278,10 +281,9 @@ def find_perfect_matching(hypergraph: Hypergraph, eps: float,
     alpha = partition_tolerance(eps)
 
     partition_seed = substream(seed, _LABEL_PARTITION)
-    # retry t draws sample_balanced_partition(n, k, substream(partition_seed, t))
-    candidates = (BalancedPartition._trusted(perm, hypergraph.k) for block in _drawn_positions(
-        hypergraph.n, 1, partition_seed, retries, first=0) for perm in block[:, 0])
-    best_partition, best_deviation, attempts = choose_partition(hypergraph, candidates, alpha)
+    # retry t is sample_balanced_partition(n, k, substream(partition_seed, t)), as part labels
+    best_partition, best_deviation, attempts = choose_partition(
+        hypergraph, _partition_labels(hypergraph.n, hypergraph.k, partition_seed, retries), alpha)
 
     partite = induce_partite(hypergraph, best_partition)
     dstar = partite.min_transversal_codegree()

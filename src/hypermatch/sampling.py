@@ -9,7 +9,6 @@ takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
@@ -17,10 +16,10 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from .hypergraph import BalancedPartition, Edge, Hypergraph, _subset_count, lex_unrank
-from .rng import Rng, permutations, u64_blocks
+from .rng import Rng, permutations, substreams, u64_blocks
 
 _CHUNK = 1 << 16  # ranks whose words the sampler draws and compares at once
-_RETRY_CHUNK = 32  # partition retries bounded on the probe keys at once
+_RETRY_CHUNK = 32  # partition retries drawn and bounded on the probe keys at once
 
 
 def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -85,110 +84,150 @@ class PartitionReport:
         return not self.violations
 
 
-def _part_counts(n: int, k: int, completions: np.ndarray, offsets: np.ndarray,
-                 partitions: Iterable[BalancedPartition]):
-    """(partition, counts) in turn; counts[i, s]: completions of key s,
-    completions[offsets[s]:offsets[s + 1]], in part i.
+def _packing(degrees: np.ndarray, k: int) -> tuple[int, int]:
+    """(width, rows): the field width w = bit_length(max co-degree), at
+    least 1, and the label rows whose k-1 fields fill one word, at least 1."""
+    width = max(1, int(degrees.max(initial=0)).bit_length())
+    return width, max(1, 64 // width // (k - 1))
 
-    Each (partition, part) pair owns a w-bit field, w = bit_length(max
-    co-degree), 64 // w to a uint64 word. No part count exceeds its key's
-    co-degree, so fields never carry, and one gather plus one segmented sum
-    counts a word. Partitions are drawn a block at a time: as many as fill a
-    word, or one whose fields spill over several.
+
+def _part_counts(completions: np.ndarray, offsets: np.ndarray, labels: np.ndarray,
+                 k: int) -> Iterator[np.ndarray]:
+    """(g, k, keys) arrays in turn, one per group of label rows: counts[b, i, s]
+    is the number of completions of key s, completions[offsets[s]:offsets[s + 1]],
+    that label row b puts in part i.
+
+    Each (row, part) pair of parts 0..k-2 owns a w-bit field (_packing),
+    64 // w to a uint64 word; the last part's count is the co-degree minus
+    the others'. No part count exceeds its key's co-degree, so fields never
+    carry, and one gather plus one segmented sum counts a word. A group is
+    as many rows as fill a word, or one row whose fields spill over several.
     """
     degrees = np.diff(offsets)
-    width = max(1, int(degrees.max(initial=0)).bit_length())
+    width, rows = _packing(degrees, k)
     per_word = 64 // width
     shifts = np.arange(per_word, dtype=np.uint64)[:, None] * np.uint64(width)
-    partitions = iter(partitions)
-    while block := list(itertools.islice(partitions, max(1, per_word // k))):
-        if any(partition.n != n or partition.k != k for partition in block):
-            raise ValueError("partition does not match the hypergraph")
-        fields = np.arange(len(block))[:, None] * k + [partition.assignment for partition in block]
+    for start in range(0, len(labels), rows):
+        group = labels[start:start + rows]
+        fields = np.arange(len(group))[:, None] * (k - 1) + group
         word_of, slot = np.divmod(fields, per_word)
-        bits = np.uint64(1) << (slot * width).astype(np.uint64)
+        bits = np.where(group < k - 1, np.uint64(1) << (slot * width).astype(np.uint64), np.uint64(0))
         words = []
-        for word in range(word_of.max() + 1):
+        for word in range(-(-len(group) * (k - 1) // per_word)):
             table = np.where(word_of == word, bits, 0).sum(axis=0, dtype=np.uint64)
             sums = np.add.reduceat(table[completions], offsets[:-1])
             words.append((sums >> shifts) & np.uint64((1 << width) - 1))
-        counts = np.concatenate(words)[:len(block) * k].astype(np.int64).reshape(len(block), k, len(degrees))
-        if (counts.sum(axis=1) != degrees).any():
-            raise AssertionError("parts do not cover all completions")
-        yield from zip(block, counts)
+        counts = np.empty((len(group), k, len(degrees)), dtype=np.int64)
+        counts[:, :-1] = np.concatenate(words)[:len(group) * (k - 1)].reshape(len(group), k - 1, -1)
+        counts[:, -1] = degrees - counts[:, :-1].sum(axis=1)
+        if ((counts[:, -1] < 0) | (counts[:, -1] > degrees)).any():
+            raise AssertionError("a derived last-part count lies outside [0, co-degree]")
+        yield counts
 
 
 def _deviations(degrees: np.ndarray, counts: np.ndarray, k: int) -> np.ndarray:
     return np.abs(counts * k / degrees - 1.0)
 
 
-def _worst_deviations(n: int, k: int, completions: np.ndarray, offsets: np.ndarray,
-                      partitions: Iterable[BalancedPartition]) -> Iterator[float]:
-    """Each partition's worst deviation over the given keys, in turn."""
+def _worst_deviations(completions: np.ndarray, offsets: np.ndarray, labels: np.ndarray,
+                      k: int) -> list[float]:
+    """Each label row's worst deviation over the given keys, 0.0 without
+    keys; taken one part at a time, so that the float temporaries hold one
+    part's counts of a group, not all k."""
     degrees = np.diff(offsets)
-    for _, counts in _part_counts(n, k, completions, offsets, partitions):
-        yield float(_deviations(degrees, counts, k).max(initial=0.0))
+    return [worst for counts in _part_counts(completions, offsets, labels, k)
+            for worst in np.max([_deviations(degrees, counts[:, i], k).max(axis=1, initial=0.0)
+                                 for i in range(k)], axis=0).tolist()]
+
+
+def _label_row(hypergraph: Hypergraph, partition: BalancedPartition) -> np.ndarray:
+    """The partition's assignment as a one-row label block."""
+    if partition.n != hypergraph.n or partition.k != hypergraph.k:
+        raise ValueError("partition does not match the hypergraph")
+    return np.array([partition.assignment])
 
 
 def partition_worst_deviation(hypergraph: Hypergraph, partition: BalancedPartition) -> float:
     """Cheap path of verify_partition: the worst relative deviation only,
     0.0 when no subset has positive co-degree."""
-    return next(_worst_deviations(hypergraph.n, hypergraph.k, hypergraph._completions,
-                                  hypergraph._offsets, [partition]))
+    [worst] = _worst_deviations(hypergraph._completions, hypergraph._offsets,
+                                _label_row(hypergraph, partition), hypergraph.k)
+    return worst
 
 
 def _probe(completions: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(completions, offsets) of the keys whose co-degree is at most the
     degree at which the lowest-degree keys, ties included, first hold 1/8
-    of all completions."""
+    of all completions; their ranges are gathered by position."""
     degrees = np.diff(offsets)
     if not len(degrees):
         return completions, offsets
     ordered = np.sort(degrees)
     held = np.cumsum(ordered)
-    keep = degrees <= ordered[np.searchsorted(held, -(-held[-1] // 8))]
-    return completions[np.repeat(keep, degrees)], np.r_[0, np.cumsum(degrees[keep])]
+    keep = np.flatnonzero(degrees <= ordered[np.searchsorted(held, -(-held[-1] // 8))])
+    kept = np.r_[0, np.cumsum(degrees[keep])]
+    # kept position j of key keep[s] is full position j + offsets[keep[s]] - kept[s]
+    return completions[np.repeat(offsets[keep] - kept[:-1], degrees[keep]) + np.arange(kept[-1])], kept
 
 
-def choose_partition(hypergraph: Hypergraph, partitions: Iterable[BalancedPartition],
+def _partition_labels(n: int, k: int, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Part labels of partitions 0..count-1 as (B, n) blocks of _RETRY_CHUNK
+    rows: row t of the concatenated blocks is the ``assignment`` of
+    sample_balanced_partition(n, k, substream(seed, t)), and each block is
+    scattered from one rng.permutations call."""
+    for start in range(0, count, _RETRY_CHUNK):
+        perms = permutations(substreams(seed, np.arange(start, min(start + _RETRY_CHUNK, count),
+                                                        dtype=np.uint64)), n)[:, 0]
+        labels = np.empty_like(perms)
+        labels[np.arange(len(perms))[:, None], perms] = np.arange(n) // (n // k)
+        yield labels
+
+
+def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
                      alpha: float) -> tuple[BalancedPartition, float, int]:
-    """(partition, deviation, attempts) of the retry rule: the candidate of
-    least key (deviation > alpha, deviation if above alpha else 0, attempt)
-    under partition_worst_deviation. That is the first candidate within
-    alpha, after ``attempts`` candidates, else the first of least deviation,
-    after all.
+    """(partition, deviation, attempts) of the retry rule over candidates
+    given as (B, n) part-label blocks, row t of the concatenated blocks being
+    candidate t: the candidate of least key (deviation > alpha, deviation if
+    above alpha else 0, attempt) under partition_worst_deviation. That is
+    the first candidate within alpha, after ``attempts`` candidates, else
+    the first of least deviation, after all.
 
-    An exact branch and bound, _RETRY_CHUNK candidates at a time, whose
-    worst deviations over the probe keys (_probe) are scored in packed
-    blocks. That is a max over a subset of the keys, so a lower bound on the
-    deviation, and its key of the same form a lower bound on the
-    candidate's key. Candidates are scored on every key in ascending bound
-    order until the bound reaches the best key. A passing key is below every
-    failing one and every later attempt's, so once a chunk's best passes no
-    further candidate can win, and none is drawn.
+    An exact branch and bound, a block at a time, whose worst deviations
+    over the probe keys (_probe) are scored in packed words. That is a max
+    over a subset of the keys, so a lower bound on the deviation, and its
+    key of the same form a lower bound on the candidate's key. Candidates
+    are scored on every key in ascending bound order while the bound is
+    below the best key, as many in one pass as one packed word holds. A
+    passing key is below every failing one and every later attempt's, so
+    once a block's best passes no further candidate can win, and no block
+    is drawn. Only the winner is built as a BalancedPartition.
     """
     n, k = hypergraph.n, hypergraph.k
     full = (hypergraph._completions, hypergraph._offsets)
     probe = _probe(*full)
+    per_pass = _packing(hypergraph._degrees(), k)[1]
 
     def key(deviation, attempt):
         return (deviation > alpha, deviation if deviation > alpha else 0.0, attempt)
 
-    best = (key(math.inf, 0), math.inf, None)  # (key, deviation, partition)
-    taken, partitions = 0, iter(partitions)
-    while chunk := list(itertools.islice(partitions, _RETRY_CHUNK)):
-        for bound in sorted(key(b, taken + i) for i, b in enumerate(_worst_deviations(n, k, *probe, chunk))):
-            if bound >= best[0]:
-                break
-            partition = chunk[bound[2] - taken]
-            [deviation] = _worst_deviations(n, k, *full, [partition])
-            best = min(best, (key(deviation, bound[2]), deviation, partition))
-        taken += len(chunk)
-        if not best[0][0]:
-            return best[2], best[1], best[0][2] + 1
-    if best[2] is None:
+    best, deviation, winner, taken = key(math.inf, 0), math.inf, None, 0
+    for labels in blocks:
+        if labels.shape[1:] != (n,):
+            raise ValueError("partition does not match the hypergraph")
+        bounds = sorted(key(b, taken + i) for i, b in enumerate(_worst_deviations(*probe, labels, k)))
+        while bounds and bounds[0] < best:
+            rows = [bound[2] - taken for bound in bounds[:per_pass] if bound < best]
+            del bounds[:len(rows)]
+            for row, scored in zip(rows, _worst_deviations(*full, labels[rows], k)):
+                if (found := key(scored, taken + row)) < best:
+                    best, deviation, winner = found, scored, labels[row]
+        taken += len(labels)
+        if not best[0]:
+            break
+    if winner is None:
         raise ValueError("need at least one candidate partition")
-    return best[2], best[1], taken
+    attempts = best[2] + 1 if not best[0] else taken
+    return BalancedPartition._trusted(np.argsort(winner, kind="stable"), k), deviation, attempts
 
 
 def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha: float) -> PartitionReport:
@@ -203,8 +242,8 @@ def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha
     if not 0 <= alpha < math.inf:
         raise ValueError("alpha must be nonnegative and finite")
     degrees = hypergraph._degrees()
-    counts = next(_part_counts(hypergraph.n, hypergraph.k, hypergraph._completions,
-                               hypergraph._offsets, [partition]))[1]
+    [counts] = next(_part_counts(hypergraph._completions, hypergraph._offsets,
+                                 _label_row(hypergraph, partition), hypergraph.k))
     skipped = math.comb(hypergraph.n, hypergraph.k - 1) - len(degrees)
     dev = _deviations(degrees, counts, hypergraph.k)
     worst = float(dev.max(initial=0.0))

@@ -10,20 +10,23 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def partition_work(monkeypatch):
-    """(drawn, scored): the candidates pipeline.choose_partition draws, and
-    the ids of those it scores on every key, once per scoring."""
+    """(drawn, passes): the candidate label rows pipeline.choose_partition
+    draws, and per call the passes it scores on every key, each pass a list
+    of its label rows as bytes."""
     choose, worst = pipeline.choose_partition, sampling._worst_deviations
-    drawn, scored = [], []
+    drawn, passes = [], []
 
-    def counted(hypergraph, partitions, alpha):
-        def scoring(n, k, completions, offsets, partitions):
-            partitions = list(partitions)
+    def counted(hypergraph, blocks, alpha):
+        full = []
+
+        def scoring(completions, offsets, labels, k):
             if completions is hypergraph._completions:
-                scored.extend(map(id, partitions))
-            return worst(n, k, completions, offsets, partitions)
+                full.append([row.tobytes() for row in labels])
+            return worst(completions, offsets, labels, k)
 
         monkeypatch.setattr(sampling, "_worst_deviations", scoring)
-        return choose(hypergraph, (drawn.append(p) or p for p in partitions), alpha)
+        passes.append(full)
+        return choose(hypergraph, (drawn.extend(block) or block for block in blocks), alpha)
 
     monkeypatch.setattr(pipeline, "choose_partition", counted)
-    return drawn, scored
+    return drawn, passes

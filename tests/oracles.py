@@ -172,6 +172,43 @@ def greedy_scan_by_definition(edges, threshold, seed):
     return tuple(e for i, e in enumerate(edges) if i not in removed)
 
 
+# -- partite row table -------------------------------------------------------
+
+
+def part_columns(partite):
+    """(position, columns) by the (E, k) by-part scatter: ``position[v]`` is
+    v's index inside its part, and ``columns[j][e]`` the position of edge e's
+    vertex in part j."""
+    position = np.empty(partite.n, dtype=np.int64)
+    position[np.asarray(partite.parts)] = np.arange(partite.m)
+    edges = partite.edge_array
+    by_part = np.empty_like(edges)  # column j: the vertex in part j
+    by_part[np.arange(len(edges))[:, None], np.asarray(partite.partition.assignment)[edges]] = edges
+    return position, list(position[by_part].T)
+
+
+def row_table_by_part_columns(partite):
+    """(position, masks, delta*) of the row table from part_columns: the
+    tuple ranks with each part left out by np.ravel_multi_index, delta* as
+    the least of their counts, zeros included, and each entry's mask OR-ed
+    together one edge at a time as a Python int."""
+    m, k = partite.m, partite.k
+    position, columns = part_columns(partite)
+    ranks = [np.ravel_multi_index(columns[:i] + columns[i + 1:], (m,) * (k - 1)) for i in range(k)]
+    dstar = min(int(np.bincount(r, minlength=m ** (k - 1)).min()) for r in ranks)
+    masks = [0] * m ** (k - 1)
+    for index, right in zip(ranks[-1].tolist(), columns[-1].tolist()):
+        masks[index] |= 1 << right
+    return position, masks, dstar
+
+
+def screen_inputs_by_part_columns(partite):
+    """(index, right) per edge from part_columns: the row-table entry of its
+    vertices in parts 0..k-2 and the position of its last-part vertex."""
+    _, columns = part_columns(partite)
+    return np.ravel_multi_index(columns[:-1], (partite.m,) * (partite.k - 1)), columns[-1]
+
+
 # -- permutation search -----------------------------------------------------
 
 

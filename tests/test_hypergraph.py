@@ -474,6 +474,52 @@ def test_row_components_equal_connected_components(build):
     assert hp._row_components() is hp._row_components()
 
 
+def _random_partite(k, m, draws, seed, adversary=None):
+    """Partite graph of up to ``draws`` random transversal edges on k parts
+    of m vertices, optionally after the parity adversary."""
+    part = sample_balanced_partition(k * m, k, seed)
+    local = np.random.default_rng(seed).integers(0, m, size=(draws, k))
+    rows = np.unique(np.sort(np.asarray(part.parts)[np.arange(k), local], axis=1), axis=0)
+    h = Hypergraph._trusted(k * m, k, rows.reshape(-1, k))
+    return induce_partite(adversary(h).result if adversary else h, part)
+
+
+# (k, m): m = 64 and 65 give one- and two-word rows; k = 4 at m = 65 has
+# 274,625 entries, and larger k stays at small m, since the row table holds
+# m^(k-1) Python ints
+ROW_TABLE_SIZES = [(2, 64), (2, 65), (3, 64), (3, 65), (4, 5), (4, 65), (5, 4)]
+ROW_TABLE_KINDS = {
+    "sparse": lambda k, m, seed: _random_partite(k, m, m ** (k - 1) // 2, seed),
+    "dense": lambda k, m, seed: _random_partite(k, m, m ** k // 2, seed),  # ~39% of the m^k tuples
+    "parity": lambda k, m, seed: _random_partite(k, m, 2 * m ** (k - 1), seed, parity_adversary),
+    "edgeless": lambda k, m, seed: _random_partite(k, m, 0, seed),
+}
+
+
+# dense at k = 4, m = 65 would draw 8.9M edges for the per-edge oracle loop
+ROW_TABLE_CASES = [(k, m, kind) for k, m in ROW_TABLE_SIZES for kind in ROW_TABLE_KINDS
+                   if (k, m, kind) != (4, 65, "dense")]
+
+
+@pytest.mark.parametrize("k,m,kind", ROW_TABLE_CASES, ids=[f"k{k}-m{m}-{kind}" for k, m, kind in ROW_TABLE_CASES])
+def test_row_table_and_screen_equal_the_part_columns_construction(k, m, kind, monkeypatch):
+    hp = ROW_TABLE_KINDS[kind](k, m, k * m)
+    position, masks, dstar = hp._row_table()
+    expected = oracles.row_table_by_part_columns(hp)
+    assert np.array_equal(position, expected[0])
+    assert masks.tolist() == expected[1]
+    assert dstar == expected[2]
+    if m ** k <= 5000:  # the scan tries every vertex for every transversal tuple
+        assert dstar == oracles.min_transversal_codegree_scan(hp.parts, map(tuple, hp.edge_array.tolist()))
+    index, right = oracles.screen_inputs_by_part_columns(hp)
+    assert [r.tolist() for r in hp._tuple_ranks([list(range(k - 1)), [k - 1]])] == [index.tolist(), right.tolist()]
+    labels, sizes = hp._row_components()
+    # the same screen built from the by-part columns labels every entry alike
+    monkeypatch.setattr(hg.PartiteHypergraph, "_tuple_ranks", lambda self, groups: [index, right])
+    columns_labels, columns_sizes = hg.PartiteHypergraph._trusted(hp.edge_array, hp.partition)._row_components()
+    assert np.array_equal(labels, columns_labels) and np.array_equal(sizes, columns_sizes)
+
+
 # -- perfect matchings ----------------------------------------------------------
 
 

@@ -505,39 +505,43 @@ def test_budgets_take_numpy_ints_as_plain_ints():
 
 def test_partition_retries_score_few_candidates_on_every_key(monkeypatch):
     # the none-n240 benchmark config: no retry passes, so all 20 are bounded
-    # on the probe keys, and the branch and bound counts every key of few
+    # on the probe keys in one pass, and the branch and bound counts every
+    # key in one more pass, for the 4 candidates one packed word holds
     cfg = ExperimentConfig(n=240, k=3, p=0.2, epsilon=0.2, trials=3, base_seed=2024,
                            partition_retries=20, pi_budget=100, strategy=STRATEGY_FULL)
-    part_counts, full = sampling._part_counts, []
+    part_counts, passes = sampling._part_counts, []
 
-    def counted(n, k, completions, offsets, partitions):
-        for item in part_counts(n, k, completions, offsets, partitions):
-            full.append(len(offsets) == keys + 1)
-            yield item
+    def counted(completions, offsets, labels, k):
+        passes.append((len(offsets) == keys + 1, len(labels)))
+        return part_counts(completions, offsets, labels, k)
 
     monkeypatch.setattr(sampling, "_part_counts", counted)
     for trial in range(3):
         keys = len(derive_trial_hypergraphs(cfg, trial)[1]._keys)
-        full.clear()
+        passes.clear()
         outcome = run_trial(cfg, trial)
         assert outcome.partition_attempts == 20 and not outcome.partition_passed
-        assert len(full) - sum(full) == 20 and 1 <= sum(full) <= 3
+        assert passes == [(False, 20), (True, 4)]
 
 
-@pytest.mark.parametrize("fields,trials,scorings", [
-    (dict(n=60, p=0.5, adversary="greedy", partition_retries=50, pi_budget=200), 10, 16),
-    (dict(n=240, p=0.2, adversary="none", partition_retries=20, pi_budget=100), 2, 2),
+@pytest.mark.parametrize("fields,trials,full_passes", [
+    (dict(n=60, p=0.5, adversary="greedy", partition_retries=50, pi_budget=200), 10, [1] * 8 + [2, 1]),
+    (dict(n=240, p=0.2, adversary="none", partition_retries=20, pi_budget=100), 2, [1, 1]),
 ], ids=["greedy-n60", "none-n240"])
-def test_partition_search_work_on_benchmark_graphs(partition_work, fields, trials, scorings):
+def test_partition_search_work_on_benchmark_graphs(partition_work, fields, trials, full_passes):
     # no retry passes on the benchmark graphs at seed 2024, so every
     # candidate is drawn, and only the few that can still win are scored
-    # on every key, each once
-    drawn, scored = partition_work
+    # on every key, each once, in passes of at most one packed word's rows
+    drawn, passes = partition_work
     cfg = ExperimentConfig(k=3, epsilon=0.2, trials=trials, base_seed=2024, strategy=STRATEGY_FULL, **fields)
     for trial in range(trials):
         assert not run_trial(cfg, trial).partition_passed
+        h = derive_trial_hypergraphs(cfg, trial)[1]
+        rows = [row for full_pass in passes[trial] for row in full_pass]
+        assert len(rows) == len(set(rows))
+        assert max(map(len, passes[trial])) <= sampling._packing(h._degrees(), h.k)[1]
     assert len(drawn) == trials * cfg.partition_retries
-    assert len(scored) == len(set(scored)) == scorings
+    assert [len(scored) for scored in passes] == full_passes
 
 
 def test_pipeline_deterministic():
@@ -580,10 +584,10 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
     candidates = [sample_balanced_partition(30, 2, substream(substream(seed, 1), r)) for r in range(retries)]
     scored = [(oracles.worst_deviation_by_recount(h.edges, 2, c.assignment), c) for c in candidates]
     best_so_far = list(itertools.accumulate((d for d, _ in scored), min))
-    block = max(1, 64 // h.codegree_extremes()[1].bit_length() // h.k)
+    block = max(1, 64 // h.codegree_extremes()[1].bit_length() // (h.k - 1))
     if where == "inside-block":
-        # a new best strictly inside a block, so later candidates of that
-        # block are scored too; alpha lands between it and every earlier one
+        # a new best strictly inside a packed group, so later candidates of
+        # that group are scored too; alpha lands between it and every earlier one
         r = next(r for r in range(1, retries)
                  if 0 < r % block < block - 1 and best_so_far[r] < best_so_far[r - 1])
         alpha, attempts = (best_so_far[r] + best_so_far[r - 1]) / 2, r + 1
@@ -608,19 +612,21 @@ def test_partition_retries_match_one_at_a_time_loop(where, monkeypatch):
 
 @pytest.mark.parametrize("retries", [1, 2, 3, 31, 55, 70])
 def test_partition_retries_are_the_per_retry_partitions(retries, monkeypatch):
-    # doubling blocks 1, 2, 4, ...: scalar rows below 24 keys, block rows in
-    # the block of retries 31-62 once it holds 24 (55) or all 32 (70)
+    # label blocks of 32 rows: scalar shuffles below 24 rows (1, 2, 3, and
+    # the last chunks, 23 and 6, of 55 and 70), block shuffles from 24 (31
+    # and the full chunks of 32)
     h, seed, choose = sample_hypergraph(30, 3, 0.5, 4), 9, pipeline.choose_partition
     seen = []
 
-    def choose_and_record(hypergraph, partitions, alpha):
-        return choose(hypergraph, (seen.append(p) or p for p in partitions), alpha)
+    def choose_and_record(hypergraph, blocks, alpha):
+        return choose(hypergraph, (seen.append(block) or block for block in blocks), alpha)
 
     monkeypatch.setattr(pipeline, "choose_partition", choose_and_record)
     find_perfect_matching(h, 1e-6, PipelineConfig(partition_retries=retries), seed=seed)
     partition_seed = substream(seed, pipeline._LABEL_PARTITION)
     expected = [sample_balanced_partition(30, 3, substream(partition_seed, r)) for r in range(retries)]
-    assert [(p.parts, p.assignment) for p in seen] == [(p.parts, p.assignment) for p in expected]
+    assert [len(block) for block in seen] == [min(32, retries - start) for start in range(0, retries, 32)]
+    assert [tuple(row) for block in seen for row in block.tolist()] == [p.assignment for p in expected]
 
 
 def test_hall_equivalence_exhaustive_m2():

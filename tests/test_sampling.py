@@ -17,7 +17,7 @@ from hypermatch import (
     verify_partition,
 )
 
-from hypermatch import pipeline, sampling
+from hypermatch import pipeline, rng, sampling
 from hypermatch.rng import Rng, substream
 from hypermatch.sampling import _part_counts, _probe, choose_partition
 
@@ -256,14 +256,21 @@ def _hub_edges(n, k, hub_degree, seed):
 
 
 PACKING_CASES = {
-    "k2": lambda: sample_hypergraph(12, 2, 0.5, 1),
+    "k2": lambda: sample_hypergraph(12, 2, 0.5, 1),    # one field per partition
     "k3": lambda: sample_hypergraph(15, 3, 0.5, 2),
     "k4": lambda: sample_hypergraph(12, 4, 0.4, 3),
+    "k5": lambda: sample_hypergraph(15, 5, 0.3, 4),
     "max-2^4-1": lambda: _hub_edges(18, 3, 15, 4),   # w = 4: the field is full
     "max-2^4": lambda: _hub_edges(18, 3, 16, 5),     # w = 5
-    "k9-spill": lambda: _hub_edges(144, 9, 136, 6),  # w = 8, k * w = 72 > 64
+    "k9-full": lambda: _hub_edges(144, 9, 136, 6),   # w = 8, (k - 1) * w = 64: one word exactly
+    "k9-spill": lambda: _hub_edges(270, 9, 256, 6),  # w = 9, (k - 1) * w = 72 > 64: a second word
     "empty": lambda: Hypergraph(6, 3, []),
 }
+
+
+def _labels(partitions):
+    """The partitions' assignments as one (B, n) label block."""
+    return np.array([p.assignment for p in partitions], dtype=np.int64).reshape(len(partitions), -1)
 
 
 @pytest.mark.parametrize("case", PACKING_CASES)
@@ -271,19 +278,49 @@ def test_packed_part_counts_match_recount(case):
     h = PACKING_CASES[case]()
     n, k = h.n, h.k
     width = max(1, h.codegree_extremes()[1].bit_length())
-    block = max(1, 64 // width // k)
-    # 13 partitions: a multiple of no block size above 1
+    rows = max(1, 64 // width // (k - 1))
+    assert sampling._packing(h._degrees(), k) == (width, rows)
+    if case == "k9-spill":
+        assert (k - 1) * width > 64
+    # 13 partitions: a multiple of no group size above 1
     partitions = [sample_balanced_partition(n, k, s) for s in range(13)]
-    counted = list(_part_counts(n, k, h._completions, h._offsets, partitions))
-    assert [p for p, _ in counted] == partitions
-    for p, counts in counted:
+    groups = list(_part_counts(h._completions, h._offsets, _labels(partitions), k))
+    assert [len(g) for g in groups] == [min(rows, 13 - start) for start in range(0, 13, rows)]
+    counted = np.concatenate(groups)
+    degrees = h._degrees()
+    for p, counts in zip(partitions, counted, strict=True):
         assert counts.T.tolist() == oracles.part_counts_by_recount(h.edges, k, p.assignment)
+        # the last part's count is derived, and lies in [0, co-degree]
+        assert ((counts[-1] >= 0) & (counts[-1] <= degrees)).all()
     worst = [oracles.worst_deviation_by_recount(h.edges, k, p.assignment) for p in partitions]
     assert [partition_worst_deviation(h, p) for p in partitions] == worst
-    # partitions are drawn one block at a time
-    source = iter(partitions)
-    next(_part_counts(n, k, h._completions, h._offsets, source))
-    assert len(list(source)) == max(0, len(partitions) - block)
+    assert sampling._worst_deviations(h._completions, h._offsets, _labels(partitions), k) == worst
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_derived_last_part_count_outside_its_range_is_an_error(k):
+    # row 1 labels vertex 0 with -1, whose field is row 0's part k - 2: row 0
+    # then counts vertex 0 twice, and its derived last-part count goes negative
+    h = complete(12, k)
+    labels = np.zeros((2, 12), dtype=np.int64)
+    labels[0] = k - 2
+    labels[1, 0] = -1
+    with pytest.raises(AssertionError, match=r"\[0, co-degree\]"):
+        list(_part_counts(h._completions, h._offsets, labels, k))
+
+
+@pytest.mark.parametrize("count", [1, 23, 24, 32, 33, 70])
+def test_partition_labels_are_the_trusted_assignments(count):
+    # chunks of 32 rows, below and from rng._BLOCK_ROWS = 24: scalar and block shuffles
+    n, k, seed = 30, 3, 8
+    blocks = list(sampling._partition_labels(n, k, seed, count))
+    chunk = sampling._RETRY_CHUNK
+    assert [len(b) for b in blocks] == [min(chunk, count - start) for start in range(0, count, chunk)]
+    labels = np.concatenate(blocks)
+    for t, row in enumerate(labels.tolist()):
+        perm = rng.permutations([substream(seed, t)], n)[0, 0]
+        assert tuple(row) == BalancedPartition._trusted(perm, k).assignment
+        assert tuple(row) == sample_balanced_partition(n, k, substream(seed, t)).assignment
 
 
 # -- partition retries ----------------------------------------------------------
@@ -308,12 +345,19 @@ def _candidates(h, count, seed):
     return [sample_balanced_partition(h.n, h.k, substream(seed, r)) for r in range(count)]
 
 
+def _blocks(candidates):
+    """The candidates as label blocks of _RETRY_CHUNK rows, drawn lazily."""
+    chunk = sampling._RETRY_CHUNK
+    return (_labels(candidates[start:start + chunk]) for start in range(0, len(candidates), chunk))
+
+
 def _assert_choice_matches_loop(h, candidates, alpha):
     """choose_partition against the one-at-a-time retry loop; returns the
     loop's (attempts, passed, deviation, partition)."""
     expected = oracles.retry_loop_one_at_a_time([(partition_worst_deviation(h, c), c) for c in candidates], alpha)
-    partition, deviation, attempts = choose_partition(h, iter(candidates), alpha)
-    assert partition is expected[3] and (deviation, attempts) == (expected[2], expected[0])
+    partition, deviation, attempts = choose_partition(h, _blocks(candidates), alpha)
+    assert partition == expected[3] and (deviation, attempts) == (expected[2], expected[0])
+    assert partition.assignment == expected[3].assignment
     return expected
 
 
@@ -329,10 +373,10 @@ def test_probe_is_the_lowest_degree_keys_holding_an_eighth(graph):
     assert offsets.tolist() == [0] + list(itertools.accumulate(degrees[s] for s in kept))
     assert completions.tolist() == [v for s in kept for v in h._completions[h._offsets[s]:h._offsets[s + 1]].tolist()]
     # the probe's counts are the full counts of its keys, so its worst deviation is a lower bound
-    partitions = _candidates(h, 5, 1)
-    probed = _part_counts(h.n, h.k, completions, offsets, partitions)
-    for (_, counts), (_, full) in zip(probed, _part_counts(h.n, h.k, h._completions, h._offsets, partitions)):
-        assert counts.tolist() == full[:, kept].tolist()
+    labels = _labels(_candidates(h, 5, 1))
+    probed = np.concatenate(list(_part_counts(completions, offsets, labels, h.k)))
+    full = np.concatenate(list(_part_counts(h._completions, h._offsets, labels, h.k)))
+    assert probed.tolist() == full[:, :, kept].tolist()
 
 
 @pytest.mark.parametrize("alpha", ["zero", "at-best", "between-prefix-minima"])
@@ -360,12 +404,15 @@ def test_choose_partition_passes_at_the_first_candidate_within_alpha(attempt, pa
     deviations = [partition_worst_deviation(h, c) for c in candidates]
     candidates.insert(attempt - 1, candidates.pop(deviations.index(min(deviations))))
     assert _assert_choice_matches_loop(h, candidates, min(deviations))[:2] == (attempt, True)
-    # no candidate past the chunk of the pass is drawn, and none is scored on every key twice
-    drawn, scored = partition_work
-    pipeline.choose_partition(h, iter(candidates), min(deviations))
+    # no chunk past the pass is drawn, and no candidate is scored on every key twice
+    drawn, passes = partition_work
+    pipeline.choose_partition(h, _blocks(candidates), min(deviations))
     chunk = sampling._RETRY_CHUNK
     assert len(drawn) == min(len(candidates), -(-attempt // chunk) * chunk)
-    assert len(scored) == len(set(scored))
+    [scored] = passes
+    rows = [row for full_pass in scored for row in full_pass]
+    assert len(rows) == len(set(rows))
+    assert _labels(candidates[attempt - 1:attempt]).tobytes() in rows
 
 
 def test_choose_partition_keeps_the_first_of_tied_least_deviations():
@@ -375,8 +422,7 @@ def test_choose_partition_keeps_the_first_of_tied_least_deviations():
     least, alpha = min(deviations), partition_tolerance(0.2)
     assert deviations.count(least) > 1 and least > alpha
     first = candidates[deviations.index(least)]
-    assert choose_partition(h, iter(candidates), alpha) == (first, least, 50)
-    assert choose_partition(h, iter(candidates), alpha)[0] is first
+    assert choose_partition(h, _blocks(candidates), alpha) == (first, least, 50)
     _assert_choice_matches_loop(h, candidates, alpha)
 
 
@@ -385,7 +431,7 @@ def test_choose_partition_on_an_empty_graph_passes_at_once(k):
     # every deviation is 0.0, so the first candidate passes even at alpha 0
     h = Hypergraph(12, k, [])
     candidates = _candidates(h, 5, 3)
-    assert choose_partition(h, iter(candidates), 0.0) == (candidates[0], 0.0, 1)
+    assert choose_partition(h, _blocks(candidates), 0.0) == (candidates[0], 0.0, 1)
     _assert_choice_matches_loop(h, candidates, 0.0)
 
 
@@ -393,8 +439,12 @@ def test_choose_partition_rejects_no_candidates_and_mismatched_ones():
     h = sample_hypergraph(12, 3, 0.5, 1)
     with pytest.raises(ValueError, match="candidate"):
         choose_partition(h, [], 0.1)
+    with pytest.raises(ValueError, match="candidate"):
+        choose_partition(h, [np.empty((0, 12), dtype=np.int64)], 0.1)
     with pytest.raises(ValueError, match="partition"):
-        choose_partition(h, [sample_balanced_partition(15, 3, 0)], 0.1)
+        choose_partition(h, [_labels([sample_balanced_partition(15, 3, 0)])], 0.1)
+    with pytest.raises(ValueError, match="partition"):
+        partition_worst_deviation(h, sample_balanced_partition(12, 4, 0))
 
 
 # -- co-degree concentration ----------------------------------------------------
