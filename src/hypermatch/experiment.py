@@ -17,6 +17,7 @@ import csv
 import io
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -235,6 +236,7 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialOutcome
     """All trials, in trial order regardless of scheduling, on at most
     min(workers, trials, CPUs) threads."""
     cfg.validate()
+    workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     indices = range(cfg.trials)

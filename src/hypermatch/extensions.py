@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -159,8 +160,7 @@ def extension_stats_empirical(matrix: ExtensionMatrix, samples: int, seed: int,
         degrees[s] = int(member[slots, perm].sum())
     mean = float(degrees.mean())
     variance = float(degrees.var())
-    ordered = np.sort(degrees)
-    median = int(ordered[(samples + 1) // 2 - 1])
+    median = _lower_median_from_counts(Counter(degrees.tolist()), samples)
     return ExtensionStats(
         mu=mean,
         variance=variance,

@@ -249,14 +249,12 @@ class BalancedPartition:
         self.assignment = tuple(assignment)
 
     @classmethod
-    def _trusted(cls, perm: np.ndarray, k: int) -> "BalancedPartition":
-        """Internal fast path: parts cut as k consecutive blocks of a
-        permutation of [0, n), k dividing n."""
-        parts = np.sort(perm.reshape(k, -1), axis=1)
-        assignment = np.empty(len(perm), dtype=np.int64)
-        assignment[parts] = np.arange(k)[:, None]
+    def _trusted(cls, labels: np.ndarray, k: int) -> "BalancedPartition":
+        """Internal fast path: labels[v] is the part of vertex v, each of
+        0..k-1 labelling n/k vertices."""
         obj = object.__new__(cls)
-        obj.parts, obj.assignment = tuple(map(tuple, parts.tolist())), tuple(assignment.tolist())
+        obj.parts = tuple(map(tuple, np.argsort(labels, kind="stable").reshape(k, -1).tolist()))
+        obj.assignment = tuple(labels.tolist())
         return obj
 
     @property

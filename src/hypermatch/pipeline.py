@@ -16,21 +16,8 @@ b. draws the balanced partitions of the retries as part-label blocks, 32
 c. induces the k-partite restriction H' and records its minimum transversal
    co-degree, counted in the pass that builds the row bitmasks of step d
    from per-vertex weight tables;
-d. searches permutation families pi: rows i of the auxiliary bipartite
-   graph are {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part
-   exactly when the combined k-set is an edge of H'. The first pi whose
-   auxiliary graph has a perfect matching wins. Attempt t draws pi from its
-   own substream; rng.permutations draws each doubling block of attempts
-   (1, 2-3, 4-7, ..., at most 1,024) as one array, and the block's rows are
-   looked up in the row table at once. Every auxiliary graph is a
-   subgraph of the row table's graph between the tuples of parts 0..k-2
-   and the last part, so once attempt 1 has failed, each attempt is first
-   screened by that graph's components: one with more rows in a component
-   than the component has last-part vertices has no perfect matching.
-   Rows are bitmasks, and only the balanced attempts are decided by an
-   exact bitset perfect-or-not test; Hopcroft-Karp runs only on the
-   winner, whose matching is translated, and on the last attempt of a
-   failed search, whose maximum matching yields the Hall certificate;
+d. searches permutation families pi for an auxiliary bipartite graph with
+   a perfect matching (find_matching_permutations);
 e. translates the bipartite matching back to hyperedges and verifies it.
 
 A perfect matching of the auxiliary graph always translates to a perfect
@@ -76,9 +63,9 @@ _LABEL_PI = 2
 
 # attempts per block of family draws: bounds the draw's memory for any budget
 _MAX_BLOCK = 1024
-# families per mask gather: a quarter of a full block keeps the gathered
-# object rows and their lists smaller than the draw's word block (gathering
-# whole blocks read ~0.3 MB more peak RSS in n=60 parity trials)
+# families per mask gather: when many attempts of a block pass the component
+# screen, a quarter of a full block keeps the gathered object rows and their
+# lists smaller than the draw's word block
 _GATHER_ROWS = 256
 
 
@@ -193,19 +180,28 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     """Retry random permutation families until the auxiliary graph has a
     perfect matching.
 
-    Strategy "pi1-only" randomizes the first permutation and keeps the
-    others at the identity; "full-random" randomizes all k-1. Attempt t
-    shuffles each randomized part with the stream substream(seed, t), so
-    retries are independent and the search is deterministic in (inputs,
-    seed). Families come as block arrays of attempts (_drawn_positions),
-    each a block of row-table entries (_row_index). Once attempt 1 has
-    failed, one bincount per block screens the attempts by the table's
-    components (_balanced): an attempt with more rows in a component than
-    that component has last-part vertices has no perfect matching. Only
-    the balanced attempts' row bitmasks are gathered (_gathered) and
-    decided by bipartite._is_perfect. Only the winner is built as vertices;
-    Hopcroft-Karp runs once, on the winner or on the last attempt of a
-    failed search.
+    Row i of the auxiliary bipartite graph of a family pi is
+    {pi_1(i), ..., pi_{k-1}(i)}, adjacent to v in the last part exactly when
+    the combined k-set is an edge of the restriction; the first pi whose
+    graph has a perfect matching wins. Strategy "pi1-only" randomizes the
+    first permutation and keeps the others at the identity; "full-random"
+    randomizes all k-1. Attempt t shuffles each randomized part with the
+    stream substream(seed, t), so retries are independent and the search is
+    deterministic in (inputs, seed).
+
+    rng.permutations draws each doubling block of attempts (1, 2-3, 4-7,
+    ..., at most _MAX_BLOCK) as one array (_drawn_positions), and the
+    block's rows are looked up in the row table at once (_row_index). Every
+    auxiliary graph is a subgraph of the row table's graph between the
+    tuples of parts 0..k-2 and the last part, so once attempt 1 has failed,
+    one bincount per block screens the attempts by that graph's components
+    (_balanced): an attempt with more rows in a component than the
+    component has last-part vertices has no perfect matching. Only the
+    balanced attempts' row bitmasks are gathered (_gathered) and decided by
+    the exact bitset test bipartite._is_perfect. Only the winner is built
+    as vertices; Hopcroft-Karp runs once, on the winner, whose matching is
+    translated, or on the last attempt of a failed search, whose maximum
+    matching yields the Hall certificate.
     """
     budget = operator.index(budget)
     if budget < 1:

@@ -158,18 +158,10 @@ def is_pseudorandom(graph: BipartiteGraph, eps: float, p: float, mode: str = "ex
     left_rows = np.zeros((graph.m, graph.m), dtype=np.int32)
     for u, row in enumerate(graph.adjacency):
         left_rows[u, list(row)] = 1
-    orientations = (("left", left_rows), ("right", left_rows.T.copy()))
-
-    if mode == "exact":
-        for side, rows in orientations:
-            bad = _exact_orientation(rows, side, eps, p, mode)
-            if bad is not None:
-                return bad
-        return _ok(mode)
-
-    rng = Rng(seed)
-    for side, rows in orientations:
-        bad = _sampled_orientation(rows, side, eps, p, rng, trials, mode)
+    rng = Rng(seed) if mode == "sampled" else None
+    for side, rows in (("left", left_rows), ("right", left_rows.T.copy())):
+        bad = (_exact_orientation(rows, side, eps, p, mode) if mode == "exact"
+               else _sampled_orientation(rows, side, eps, p, rng, trials, mode))
         if bad is not None:
             return bad
     return _ok(mode)

@@ -57,7 +57,16 @@ def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
         raise ValueError("k must be positive and divide n")
     if n <= 0:
         raise ValueError("n must be positive")
-    return BalancedPartition._trusted(permutations([Rng(seed).key], n)[0, 0], k)
+    return BalancedPartition._trusted(_cut_labels([Rng(seed).key], n, k)[0], k)
+
+
+def _cut_labels(keys, n: int, k: int) -> np.ndarray:
+    """(len(keys), n) part labels: row r cuts ``Rng(keys[r]).permutation(n)``
+    into k consecutive blocks of n/k, all drawn by one rng.permutations call."""
+    perms = permutations(keys, n)[:, 0]
+    labels = np.empty_like(perms)
+    labels[np.arange(len(perms))[:, None], perms] = np.arange(n) // (n // k)
+    return labels
 
 
 # -- partition quality ------------------------------------------------------
@@ -173,14 +182,11 @@ def _probe(completions: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np
 def _partition_labels(n: int, k: int, seed: int, count: int) -> Iterator[np.ndarray]:
     """Part labels of partitions 0..count-1 as (B, n) blocks of _RETRY_CHUNK
     rows: row t of the concatenated blocks is the ``assignment`` of
-    sample_balanced_partition(n, k, substream(seed, t)), and each block is
-    scattered from one rng.permutations call."""
+    sample_balanced_partition(n, k, substream(seed, t)). Each chunk's keys
+    are derived as it is drawn, so memory does not grow with count."""
     for start in range(0, count, _RETRY_CHUNK):
-        perms = permutations(substreams(seed, np.arange(start, min(start + _RETRY_CHUNK, count),
-                                                        dtype=np.uint64)), n)[:, 0]
-        labels = np.empty_like(perms)
-        labels[np.arange(len(perms))[:, None], perms] = np.arange(n) // (n // k)
-        yield labels
+        yield _cut_labels(substreams(seed, np.arange(start, min(start + _RETRY_CHUNK, count),
+                                                     dtype=np.uint64)), n, k)
 
 
 def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
@@ -227,7 +233,7 @@ def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
     if winner is None:
         raise ValueError("need at least one candidate partition")
     attempts = best[2] + 1 if not best[0] else taken
-    return BalancedPartition._trusted(np.argsort(winner, kind="stable"), k), deviation, attempts
+    return BalancedPartition._trusted(winner, k), deviation, attempts
 
 
 def verify_partition(hypergraph: Hypergraph, partition: BalancedPartition, alpha: float) -> PartitionReport:

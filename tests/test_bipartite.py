@@ -49,6 +49,14 @@ def test_graph_accepts_numpy_ints_and_bools():
     assert all(type(v) is int for row in g.adjacency for v in row)
 
 
+def test_graph_size_is_an_integer():
+    # m sizes the matcher's per-vertex lists, so only an integer m constructs
+    with pytest.raises(TypeError):
+        BipartiteGraph(2.0, [[0], [1]])
+    g = BipartiteGraph(np.int64(2), [[0], [1]])
+    assert type(g.m) is int and max_matching(g).is_perfect()
+
+
 def test_matching_complete():
     g = BipartiteGraph(3, [[0, 1, 2]] * 3)
     mm = max_matching(g)

@@ -5,6 +5,7 @@ import types
 from dataclasses import MISSING, asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hypermatch.experiment as exp
@@ -191,7 +192,7 @@ def test_run_experiment_rejects_nonpositive_workers(workers):
 
 
 @pytest.mark.parametrize("workers,trials,cpus,threads", [
-    (10**9, 3, 8, 3), (10**9, 20, 8, 8), (5, 20, 8, 5), (4, 20, None, None)])
+    (10**9, 3, 8, 3), (10**9, 20, 8, 8), (5, 20, 8, 5), (4, 20, None, None), (np.int64(3), 20, 8, 3)])
 def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
     # a stand-in executor records the thread count it is asked for and
     # runs the trials in the calling thread
@@ -216,6 +217,14 @@ def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
     outcomes = exp.run_experiment(cfg, workers=workers)
     assert asked == ([threads] if threads else [])  # one thread runs the trials itself
     assert exp.records(outcomes) == exp.records(exp.run_experiment(cfg))
+
+
+@pytest.mark.parametrize("workers", [2.5, "3", None])
+def test_run_experiment_rejects_non_integer_workers(workers, monkeypatch):
+    # enough CPUs that min(workers, trials, CPUs) would pass a non-integer count on
+    monkeypatch.setattr(exp.os, "cpu_count", lambda: 8)
+    with pytest.raises(TypeError):
+        exp.run_experiment(small_config(trials=4), workers=workers)
 
 
 def test_csv_header_and_round_trip(tmp_path):

@@ -17,7 +17,7 @@ from hypermatch import (
     verify_partition,
 )
 
-from hypermatch import pipeline, rng, sampling
+from hypermatch import pipeline, sampling
 from hypermatch.rng import Rng, substream
 from hypermatch.sampling import _part_counts, _probe, choose_partition
 
@@ -317,10 +317,15 @@ def test_partition_labels_are_the_trusted_assignments(count):
     chunk = sampling._RETRY_CHUNK
     assert [len(b) for b in blocks] == [min(chunk, count - start) for start in range(0, count, chunk)]
     labels = np.concatenate(blocks)
+    m = n // k
     for t, row in enumerate(labels.tolist()):
-        perm = rng.permutations([substream(seed, t)], n)[0, 0]
-        assert tuple(row) == BalancedPartition._trusted(perm, k).assignment
-        assert tuple(row) == sample_balanced_partition(n, k, substream(seed, t)).assignment
+        # the reference cut: block j of the scalar permutation is part j
+        perm = Rng(substream(seed, t)).permutation(n)
+        parts = tuple(tuple(sorted(perm[j * m:(j + 1) * m])) for j in range(k))
+        assignment = tuple(j for v in range(n) for j in range(k) if v in parts[j])
+        assert tuple(row) == assignment
+        partition = sample_balanced_partition(n, k, substream(seed, t))
+        assert (partition.parts, partition.assignment) == (parts, assignment)
 
 
 # -- partition retries ----------------------------------------------------------
