@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -147,6 +148,7 @@ def extension_stats_empirical(matrix: ExtensionMatrix, samples: int, seed: int,
     The containment test compares the sample median against the exact mean
     total/m, not the sample mean.
     """
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError("need at least one sample")
     _check_alpha(alpha)

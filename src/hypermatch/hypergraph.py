@@ -2,13 +2,14 @@
 
 Vertices are 0..n-1; ``edge_array`` holds the edges as (E, k) int64 rows,
 ascending and distinct, in lexicographic order (``edges``: the same as
-tuples, built on first use). The index covers each (k-1)-subset X with a
-completion: ``_keys`` are their lexicographic ranks in C([n], k-1),
-ascending, and X = ``_keys[s]`` owns the ascending completions
-``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE) memory for any n. The
-index is one sort of rank * n + completion in the narrowest integer type
-that holds it (int32 while C(n, k-1) * n < 2^31, else int64); the arrays
-are int64 and read-only, so hypergraphs are safe to share across threads.
+tuples). Both ``edges`` and the index are built on first read. The index
+covers each (k-1)-subset X with a completion: ``_keys`` are their
+lexicographic ranks in C([n], k-1), ascending, and X = ``_keys[s]`` owns the
+ascending completions ``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE)
+memory for any n. It is one sort of rank * n + completion in the narrowest
+integer type that holds it (int32 while C(n, k-1) * n < 2^31, else int64);
+its int64, read-only arrays are published as one tuple, so a thread sees
+no index or all of it, and hypergraphs are safe to share across threads.
 
 Also here: balanced vertex partitions, the k-partite restriction (an edge
 array whose delta* is counted in the pass that builds its row bitmasks,
@@ -111,7 +112,7 @@ def _normalize_edges(n: int, k: int, edges: Iterable[Iterable[int]]) -> np.ndarr
 class Hypergraph:
     """Immutable k-uniform hypergraph; subsets absent from the index have co-degree 0."""
 
-    __slots__ = ("n", "k", "edge_array", "_keys", "_offsets", "_completions", "_edges")
+    __slots__ = ("n", "k", "edge_array", "_index", "_edges")
 
     def __init__(self, n: int, k: int, edges: Iterable[Iterable[int]]):
         n, k = operator.index(n), operator.index(k)
@@ -122,21 +123,36 @@ class Hypergraph:
         self._finish_init(n, k, _normalize_edges(n, k, edges))
 
     def _finish_init(self, n: int, k: int, edge_array: np.ndarray) -> None:
+        edge_array.flags.writeable = False
+        self.n, self.k, self.edge_array, self._index, self._edges = n, k, edge_array, None, None
+
+    def _build_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(_keys, _offsets, _completions), which _indexed builds on first read."""
         # one in-place sort of rank * n + completion in the ranks' type; keys start at pair 0 and rank changes
-        packed = _subset_ranks(n, edge_array)
+        n = self.n
+        packed = _subset_ranks(n, self.edge_array)
         packed *= n
-        packed += edge_array.T.astype(packed.dtype)
+        packed += self.edge_array.T.astype(packed.dtype)
         packed = packed.reshape(-1)
         packed.sort()
         ranks = packed // n
         starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])
-        self.n, self.k, self.edge_array, self._edges = n, k, edge_array, None
-        self._keys, self._offsets = ranks[starts].astype(np.int64, copy=False), np.append(starts, len(ranks))
+        keys, offsets = ranks[starts].astype(np.int64, copy=False), np.append(starts, len(ranks))
         packed -= np.multiply(ranks, n, out=ranks)  # the completions; ranks go before the int64 copy
         del ranks
-        self._completions = packed.astype(np.int64, copy=False)
-        for arr in (edge_array, self._keys, self._offsets, self._completions):
+        index = (keys, offsets, packed.astype(np.int64, copy=False))
+        for arr in index:
             arr.flags.writeable = False
+        return index
+
+    def _indexed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._index is None:
+            self._index = self._build_index()
+        return self._index
+
+    _keys = property(lambda self: self._indexed()[0])
+    _offsets = property(lambda self: self._indexed()[1])
+    _completions = property(lambda self: self._indexed()[2])
 
     @classmethod
     def _trusted(cls, n: int, k: int, edge_array: np.ndarray) -> "Hypergraph":
@@ -160,8 +176,9 @@ class Hypergraph:
     def _completion_array(self, subset: Edge) -> np.ndarray:
         """Completions of an ascending, in-range (k-1)-subset (empty if none)."""
         rank = _lex_rank(self.n, subset)
-        lo, hi = np.searchsorted(self._keys, [rank, rank + 1])
-        return self._completions[self._offsets[lo]:self._offsets[hi]]
+        keys, offsets, completions = self._indexed()
+        lo, hi = np.searchsorted(keys, [rank, rank + 1])
+        return completions[offsets[lo]:offsets[hi]]
 
     def has_edge(self, edge: Iterable[int]) -> bool:
         e = tuple(sorted(map(operator.index, edge)))
@@ -301,31 +318,29 @@ def _transversal_mask(hypergraph: Hypergraph, partition: BalancedPartition) -> n
 
 class PartiteHypergraph:
     """k-partite restriction: every edge meets each part exactly once. Holds
-    the kept ``edge_array``; ``hypergraph`` indexes it on first read."""
+    the kept edges as ``hypergraph``, whose index is built on first read."""
 
-    __slots__ = ("edge_array", "partition", "_hypergraph", "_rows", "_components")
+    __slots__ = ("hypergraph", "partition", "_rows", "_components")
 
     def __init__(self, hypergraph: Hypergraph, partition: BalancedPartition):
         transversal = _transversal_mask(hypergraph, partition)
         if not transversal.all():
             e = tuple(hypergraph.edge_array[np.argmin(transversal)].tolist())
             raise ValueError(f"edge {e} is not a transversal of the partition")
-        self.edge_array, self.partition, self._hypergraph = hypergraph.edge_array, partition, hypergraph
+        self.hypergraph, self.partition = hypergraph, partition
         self._rows = self._components = None
 
     @classmethod
     def _trusted(cls, edge_array: np.ndarray, partition: BalancedPartition) -> "PartiteHypergraph":
         """Internal fast path: rows as in Hypergraph, each meeting every part once."""
         obj = object.__new__(cls)
-        obj.edge_array, obj.partition, obj._hypergraph = edge_array, partition, None
+        obj.hypergraph, obj.partition = Hypergraph._trusted(partition.n, partition.k, edge_array), partition
         obj._rows = obj._components = None
         return obj
 
     @property
-    def hypergraph(self) -> Hypergraph:
-        if self._hypergraph is None:
-            self._hypergraph = Hypergraph._trusted(self.n, self.k, self.edge_array)
-        return self._hypergraph
+    def edge_array(self) -> np.ndarray:
+        return self.hypergraph.edge_array
 
     @property
     def n(self) -> int:

@@ -164,15 +164,15 @@ class PiSearch:
 
 def _drawn_positions(m: int, shuffles: int, seed: int, count: int) -> Iterator[np.ndarray]:
     """Part-local positions of attempts 1..count as (B, shuffles, m) blocks,
-    B doubling (1, 2, 4, ...) up to _MAX_BLOCK: row t of the concatenated
-    blocks is attempt t + 1, the ``shuffles`` successive
+    attempt 1 alone, then _MAX_BLOCK attempts a block: row t of the
+    concatenated blocks is attempt t + 1, the ``shuffles`` successive
     ``Rng.permutation(m)`` draws of the stream substream(seed, t + 1), all
     drawn by one rng.permutations call per block."""
     first, stop, size = 1, count + 1, 1
     while first < stop:
         labels = np.arange(first, min(first + size, stop), dtype=np.uint64)
         yield permutations(substreams(seed, labels), m, shuffles)
-        first, size = first + len(labels), min(2 * size, _MAX_BLOCK)
+        first, size = first + len(labels), _MAX_BLOCK
 
 
 def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: int,
@@ -189,9 +189,12 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     stream substream(seed, t), so retries are independent and the search is
     deterministic in (inputs, seed).
 
-    rng.permutations draws each doubling block of attempts (1, 2-3, 4-7,
-    ..., at most _MAX_BLOCK) as one array (_drawn_positions), and the
-    block's rows are looked up in the row table at once (_row_index). Every
+    rng.permutations draws attempt 1 alone and then each block of
+    _MAX_BLOCK attempts (2-1025, 1026-2049, ...) as one array
+    (_drawn_positions), and the block's rows are looked up in the row table
+    at once (_row_index). A search won at attempt 1 draws only that
+    attempt; one won later draws a whole block, the price of deciding a
+    failing search in few calls (3 blocks for 2,000 attempts). Every
     auxiliary graph is a subgraph of the row table's graph between the
     tuples of parts 0..k-2 and the last part, so once attempt 1 has failed,
     one bincount per block screens the attempts by that graph's components

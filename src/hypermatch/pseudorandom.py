@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,6 +141,7 @@ def is_pseudorandom(graph: BipartiteGraph, eps: float, p: float, mode: str = "ex
     right, then per orientation (left before right) property 2 then 3 with
     subsets in ascending code order; the first violation is reported.
     """
+    trials = None if trials is None else operator.index(trials)
     if not math.isfinite(eps) or not 0.0 <= p <= 1.0:
         raise ValueError("eps must be finite and p must lie in [0, 1]")
     if mode not in ("exact", "sampled"):

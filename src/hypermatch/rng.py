@@ -102,7 +102,8 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
         flat = lines.reshape(-1)
         swaps *= np.uint64(rows)  # in place, to the flat index of (row, swapped position)
         swaps += np.arange(rows, dtype=np.uint64)[:, None]
-        for i, where in zip(range(size - 1, 0, -1), swaps.T):
+        # viewed as int64 (the indices are below rows * size): numpy converts a uint64 index at every use
+        for i, where in zip(range(size - 1, 0, -1), swaps.view(np.int64).T):
             held = flat[where]
             flat[where] = lines[i]
             lines[i] = held

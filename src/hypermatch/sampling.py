@@ -10,6 +10,7 @@ takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -26,13 +27,15 @@ def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
     """Random k-uniform hypergraph: each k-subset is an edge independently
     with probability p, deterministic in the seed.
 
-    Draw t of the stream decides the subset of lexicographic rank t.
+    Draw t of the stream decides the subset of lexicographic rank t. The
+    co-degree index is built on first read, so a caller that reads only the
+    edge array (the parity adversary) never builds it.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     if k < 2 or n < k:
         raise ValueError("need n >= k >= 2")
-    # C(n, k) is refused before any word is drawn; the ranks are freed before the index is built
+    # C(n, k) is refused before any word is drawn
     return Hypergraph._trusted(n, k, lex_unrank(n, k, _edge_ranks(_subset_count(n, k), p, seed)))
 
 
@@ -53,6 +56,7 @@ def _edge_ranks(total: int, p: float, seed: int) -> np.ndarray:
 def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:
     """Uniform equipartition of [0, n) into k parts: one uniform permutation
     cut into k consecutive blocks of size n/k."""
+    n, k = operator.index(n), operator.index(k)
     if k <= 0 or n % k:
         raise ValueError("k must be positive and divide n")
     if n <= 0:

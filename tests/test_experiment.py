@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import math
@@ -303,12 +304,33 @@ def _load_bench_workloads():
 BENCH_WORKLOADS = _load_bench_workloads()
 
 
+@functools.lru_cache(maxsize=None)
+def _bench_pinned_outcomes(name):
+    cfg = BENCH_WORKLOADS.config(name, BENCH_WORKLOADS.DEFAULT_SEED)
+    return cfg, [exp.run_trial(cfg, t) for t in range(BENCH_WORKLOADS.PINNED_TRIALS)]
+
+
 @pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.PINNED_CSV_SHA256))
 def test_benchmark_records_pinned(name):
     """The benchmark's first trials keep the CSV its own pin records."""
-    cfg = BENCH_WORKLOADS.config(name, BENCH_WORKLOADS.DEFAULT_SEED)
-    recs = [exp.run_trial(cfg, t).record for t in range(BENCH_WORKLOADS.PINNED_TRIALS)]
-    assert BENCH_WORKLOADS.csv_sha256(recs) == BENCH_WORKLOADS.PINNED_CSV_SHA256[name]
+    _, outcomes = _bench_pinned_outcomes(name)
+    assert BENCH_WORKLOADS.csv_sha256(exp.records(outcomes)) == BENCH_WORKLOADS.PINNED_CSV_SHA256[name]
+
+
+# SHA-256 of outcomes_to_json over the same trials: beyond the CSV, it pins
+# the matchings and the Hall certificate of each failed search's last attempt
+BENCH_PINNED_JSON_SHA256 = {
+    "greedy-n60": "e0ce849a19c6f0027ed4cd417d0c9997786ea3e223d46a56ce5a1bd255f87b95",
+    "parity-n60": "583b317e556b8ad20102968db05cdf01b83ceed0f899e81dec4bf8b075b18281",
+    "none-n240": "e46c3fab2dc6fcf352d61567ef76ef395a6eb692ee1a1ba7618c71c24775d9fd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_PINNED_JSON_SHA256))
+def test_benchmark_outcomes_pinned(name):
+    cfg, outcomes = _bench_pinned_outcomes(name)
+    json_text = exp.outcomes_to_json(cfg, outcomes)
+    assert hashlib.sha256(json_text.encode("utf-8")).hexdigest() == BENCH_PINNED_JSON_SHA256[name]
 
 
 def test_timing_flag_populates_runtime(tmp_path):

@@ -109,6 +109,18 @@ def test_empirical_requires_samples():
         extension_stats_empirical(random_matrix(3, 0.5, 0), 0, 1)
 
 
+@pytest.mark.parametrize("samples", [2.5, 3.0, "3"])
+def test_empirical_samples_must_be_an_integer(samples):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        extension_stats_empirical(random_matrix(3, 0.5, 0), samples, 1)
+
+
+def test_empirical_takes_numpy_int_samples():
+    mat = random_matrix(4, 0.5, 2)
+    stats = extension_stats_empirical(mat, np.int32(50), 3)
+    assert stats == extension_stats_empirical(mat, 50, 3) and type(stats.samples) is int
+
+
 @pytest.mark.parametrize("alpha", [-0.1, -2.0, math.inf, math.nan])
 def test_stats_reject_alpha_outside_nonnegative_reals(alpha):
     mat = random_matrix(3, 0.5, 0)

@@ -201,7 +201,8 @@ def test_pi_search_matches_one_at_a_time_loop(graph, strategy):
 
 def test_pi_search_differential_covers_block_edges_and_insides():
     # attempt of the first success (pi1-only, full-random) at pi seed 7 and
-    # budget 40: block edges 1, 2, 3, 4, 7 and 8, inside 13, never (40)
+    # budget 40: attempt 1 (its own block), 2 (the first screened one),
+    # inside the second block at 3, 4, 7, 8 and 13, never (40)
     firsts = [tuple(oracles.pi_search_one_at_a_time(_differential_partite(*graph), 40, 7, s).attempts
                     for s in pipeline.STRATEGIES) for graph in DIFFERENTIAL_GRAPHS]
     assert firsts == [(8, 13), (7, 8), (2, 3), (2, 4), (1, 3), (40, 40)]
@@ -281,7 +282,7 @@ def test_block_draws_equal_scalar_families(k, strategy):
 
 
 def test_block_draws_equal_scalar_families_across_capped_blocks():
-    """Blocks stop doubling at 1,024 attempts: 512-1023, 1024-2047, 2048-3071."""
+    """After attempt 1, blocks of 1,024 attempts: 2-1025, 1026-2049, 2050-3073."""
     hp = _differential_partite(6, 3, 0.5, 1, 1)
     drawn = [pipeline._family_at(hp, local) for block in pipeline._drawn_positions(hp.m, 2, 5, 2100) for local in block]
     for t in itertools.chain(range(1000, 1050), range(2030, 2101)):
@@ -330,10 +331,10 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
     """A 2,000-attempt parity search runs the bitset decision once, on
     attempt 1: every later attempt puts more rows in a row-table component
     than it has last-part vertices, so the component screen rejects it. The
-    scalar swaps run only for the blocks drawn below the block-loop
-    crossover."""
-    swapped, decided = [], []
-    unpatched_swaps, unpatched_decision = rng.apply_swaps, pipeline._is_perfect
+    attempts are drawn in three blocks, and the scalar swaps run only for
+    attempt 1's, the one drawn below the block-loop crossover."""
+    swapped, decided, drawn = [], [], []
+    unpatched_swaps, unpatched_decision, unpatched_draw = rng.apply_swaps, pipeline._is_perfect, pipeline.permutations
 
     def counting_swaps(items, swaps):
         swapped.append(len(items))
@@ -343,13 +344,18 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
         decided.append(len(masks))
         return unpatched_decision(masks)
 
+    def counting_draw(keys, size, count):
+        drawn.append(len(keys))
+        return unpatched_draw(keys, size, count)
+
     monkeypatch.setattr(rng, "apply_swaps", counting_swaps)
     monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
+    monkeypatch.setattr(pipeline, "permutations", counting_draw)
     assert not find_matching_permutations(parity_n60_partite, 2000, 7, strategy).success
     assert decided == [20]
     shuffles = 2 if strategy == STRATEGY_FULL else 1
-    sizes = [2**i for i in range(10)] + [2000 - 1023]  # the doubling blocks
-    assert sum(sizes) == 2000
+    sizes = [1, 1024, 975]  # attempt 1 alone, then full blocks
+    assert drawn == sizes
     below = [size * shuffles for size in sizes if size * shuffles < rng._BLOCK_ROWS]
     assert 0 < len(swapped) == sum(below) and set(swapped) == {20}
 
@@ -367,8 +373,10 @@ def test_block_draw_memory_does_not_grow_with_budget():
 
 
 def test_partition_retry_memory_does_not_grow_with_retries():
-    # retry 0 passes on the complete graph, so later retries are never drawn
+    # retry 0 passes on the complete graph, so later retries are never drawn;
+    # its index is built first, outside both windows
     h = sample_hypergraph(60, 3, 1.0, 0)
+    h._indexed()
 
     def peak(retries):
         tracemalloc.start()
@@ -407,7 +415,7 @@ def test_pi_search_runs_hopcroft_karp_once(monkeypatch, strategy):
 # MASK64 - 3 is the least word the fallback rule rejects at m = 4
 @pytest.mark.parametrize("rejected,word", [([2], MASK64 - 3), ([0, 1, 2, 3], MASK64)])
 def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
-    """Rows of the block of attempts 4-7 that hold a word Rng.below may
+    """Rows of the block of attempts 2-9 that hold a word Rng.below may
     reject are redrawn one at a time, to the same families as before."""
     hp = induce_partite(parity_adversary(complete(12)).result, sample_balanced_partition(12, 3, 2))
     assert hp.m == 4
@@ -416,7 +424,7 @@ def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
 
     def near_top(keys, count, start=0):
         words = unpatched(keys, count, start)
-        if len(keys) == 4:
+        if len(keys) == 8:
             words[rejected, -1] = word
         block_sizes.append(len(keys))
         return words
@@ -435,8 +443,8 @@ def test_rejected_block_rows_are_redrawn_by_rng(monkeypatch, rejected, word):
         drawn = [pipeline._family_at(hp, local)
                  for block in pipeline._drawn_positions(hp.m, shuffles, 4, 9) for local in block]
         assert drawn == [oracles.family_one_at_a_time(hp, 4, t, strategy) for t in range(1, 10)]
-        assert block_sizes == [1, 2, 4, 2]
-        assert redraws == [substream(4, 4 + r) for r in rejected]
+        assert block_sizes == [1, 8]
+        assert redraws == [substream(4, 2 + r) for r in rejected]
         # the parity graph never succeeds, so the search tries every attempt
         expected = oracles.pi_search_one_at_a_time(hp, 9, 4, strategy)
         assert find_matching_permutations(hp, 9, 4, strategy) == expected
@@ -640,23 +648,43 @@ def test_hall_equivalence_exhaustive_m2():
         assert exists == max_matching(BipartiteGraph(2, adj)).is_perfect()
 
 
+@pytest.fixture
+def index_builds(monkeypatch):
+    """The hypergraphs whose co-degree index is built, in build order."""
+    builds, build_index = [], Hypergraph._build_index
+
+    def counted(self):
+        builds.append(self)
+        return build_index(self)
+
+    monkeypatch.setattr(Hypergraph, "_build_index", counted)
+    return builds
+
+
 @pytest.mark.parametrize("strategy", [STRATEGY_PI1, STRATEGY_FULL])
-def test_pipeline_builds_no_index(strategy, monkeypatch):
+def test_pipeline_builds_no_index(strategy, index_builds):
     # delta* and the pi-search read the restriction's row table; the only
-    # co-degree indexes are those of the graphs handed in
+    # co-degree indexes are those of the graphs handed in, each built once
+    # (the adversaries' by the residual minimum in their outcomes, the
+    # sampled graph's by the greedy scan, the unread copy's by the pipeline)
     sampled = sample_hypergraph(24, 3, 0.6, 11)
-    graphs = {"none": sampled, "greedy": greedy_budget_adversary(sampled, 3, 1).result,
+    graphs = {"none": sample_hypergraph(24, 3, 0.6, 11), "greedy": greedy_budget_adversary(sampled, 3, 1).result,
               "parity": parity_adversary(sampled).result}
-    builds = []
-    finish_init = Hypergraph._finish_init
-
-    def counted(self, *args):
-        builds.append(args[:2])
-        finish_init(self, *args)
-
-    monkeypatch.setattr(Hypergraph, "_finish_init", counted)
     outcomes = {name: find_perfect_matching(h, 0.2, PipelineConfig(pi_budget=30, strategy=strategy), seed=4)
                 for name, h in graphs.items()}
-    assert builds == []
+    assert sorted(map(id, index_builds)) == sorted(map(id, [sampled, *graphs.values()]))
     assert outcomes["none"].matched and not outcomes["parity"].matched
     assert outcomes["parity"].min_transversal_codegree == 0
+
+
+def test_parity_trial_builds_only_the_residual_index(index_builds):
+    # the parity adversary reads only the sampled edge array, and the record
+    # only its edge count; the residual's index serves the co-degree minimum
+    # and the partition search
+    cfg = ExperimentConfig(n=30, k=3, p=0.5, epsilon=0.2, trials=1, base_seed=2024, adversary="parity",
+                           pi_budget=40)
+    sampled, residual = derive_trial_hypergraphs(cfg, 0)
+    index_builds.clear()
+    outcome = run_trial(cfg, 0)
+    assert not outcome.record.matched and outcome.record.edges_after < outcome.record.edges_before
+    assert index_builds == [residual] and residual != sampled

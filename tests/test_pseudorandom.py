@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from hypermatch import BipartiteGraph, is_pseudorandom, max_matching
@@ -127,6 +128,19 @@ def test_sampled_mode_validation():
         is_pseudorandom(g, 0.1, 1.0, mode="sampled")
     with pytest.raises(ValueError):
         is_pseudorandom(g, 0.1, 1.0, mode="bogus")
+
+
+@pytest.mark.parametrize("trials", [2.5, 3.0, "3"])
+def test_sampled_mode_trials_must_be_an_integer(trials):
+    g = BipartiteGraph(4, [list(range(4))] * 4)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        is_pseudorandom(g, 0.1, 1.0, mode="sampled", seed=1, trials=trials)
+
+
+def test_sampled_mode_takes_numpy_int_trials():
+    g = BipartiteGraph(10, [[0]] * 10)
+    assert is_pseudorandom(g, 0.3, 0.4, mode="sampled", seed=5, trials=np.int64(200)) == \
+        is_pseudorandom(g, 0.3, 0.4, mode="sampled", seed=5, trials=200)
 
 
 def test_sampled_mode_finds_gross_violations():

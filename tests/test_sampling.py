@@ -158,6 +158,16 @@ def test_partition_requires_divisibility():
             sample_balanced_partition(n, k, 0)
 
 
+@pytest.mark.parametrize("n,k", [(6.0, 3), (6, 3.0), ("6", 3), (6, "3")])
+def test_partition_sizes_must_be_integers(n, k):
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        sample_balanced_partition(n, k, 0)
+
+
+def test_partition_takes_numpy_int_sizes():
+    assert sample_balanced_partition(np.int64(6), np.int32(3), 4) == sample_balanced_partition(6, 3, 4)
+
+
 def test_partition_exchangeability():
     hits = sum(1 for s in range(10_000) if sample_balanced_partition(6, 3, s).assignment[0] == 0)
     se = math.sqrt((1 / 3) * (2 / 3) / 10_000)
