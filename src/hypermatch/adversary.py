@@ -99,19 +99,24 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     least _SCAN_CHUNK); before each chunk one gather drops the pending edges
     that meet a closed subset, which changes no decision. Each edge left
     costs one set-disjointness test against the closed subsets, and each
-    deletion k index updates. The result satisfies
+    deletion k co-degree updates. The result satisfies
     min co-degree >= min(input min co-degree, threshold). Order dependent by
     design; parallelize across seeds, not within a run.
+
+    Subsets are named by their ranks while C(n, k-1) <= kE, with co-degrees
+    counted from the edge array, so only the residual's co-degree index is
+    built; sparser graphs name them by index position
+    (``Hypergraph._subset_ids``).
     """
-    threshold = operator.index(threshold)
+    threshold, seed = operator.index(threshold), operator.index(seed)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    # the scan is sequential: edges in scan order as index positions of their
-    # k subsets, co-degrees as plain ints in a list, closed subsets in a set
-    slots = hypergraph._edge_slots()
+    # the scan is sequential: edges in scan order as the ids of their k
+    # subsets, co-degrees as plain ints in a list, closed subsets in a set
+    slots, counts = hypergraph._subset_ids()
     pending = permutations([Rng(seed).key], len(slots))[0, 0]  # edge ids, in scan order
     rows = slots[pending]
-    counts = hypergraph._degrees().tolist()
+    counts = counts.tolist()
     closed = {x for x, count in enumerate(counts) if count <= threshold}
     is_open = np.ones(len(counts), dtype=bool)
     removed = bytearray(len(slots))  # by edge id

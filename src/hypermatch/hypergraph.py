@@ -208,10 +208,17 @@ class Hypergraph:
     def _has_every_subset(self) -> bool:  # then the keys are 0..C(n, k-1)-1, each at its own position
         return len(self._keys) == math.comb(self.n, self.k - 1)
 
-    def _edge_slots(self) -> np.ndarray:
-        """(E, k) array: entry (e, j) is the index position of edge e minus column j."""
+    def _subset_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """(ids, degrees): the (E, k) array ``ids`` names the subset of edge e
+        minus column j by ids[e, j], whose co-degree is degrees[ids[e, j]].
+        While C(n, k-1) <= kE the ids are the subsets' ranks and ``degrees``
+        one bincount of them, no larger than the index, which is not built;
+        with more subsets they are index positions."""
         ranks = _subset_ranks(self.n, self.edge_array)
-        return (ranks if self._has_every_subset() else np.searchsorted(self._keys, ranks)).T
+        count = math.comb(self.n, self.k - 1)
+        if count <= ranks.size:
+            return ranks.T, np.bincount(ranks.reshape(-1), minlength=count)
+        return np.searchsorted(self._keys, ranks).T, self._degrees()
 
     def codegree_extremes(self) -> tuple[int, int]:
         """(min, max) co-degree over all C(n, k-1) subsets, zeros included.

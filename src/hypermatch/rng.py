@@ -15,12 +15,18 @@ callers may draw from substreams concurrently without coordination.
 draws words of many streams as one 2-D block, row r equal to stream r's
 scalar draws; ``Rng.u64_block`` is its one-row case. :func:`permutations`
 shuffles many streams from one block into one (streams, count, size) array,
-with ``Rng.shuffle`` and :func:`apply_swaps` its scalar reference: a long
-stream runs the scalar swaps, a block of many rows applies each swap position
-to every row at once.
+with ``Rng.shuffle`` and :func:`apply_swaps` its scalar reference: a block of
+few rows, however long, is shuffled by one sort of its swap targets
+(:func:`_sort_shuffles`), a block of many rows applies each swap position to
+every row at once.
+
+Seeds and labels are read with ``operator.index``, so numpy integers give
+the streams of the equal Python ints and floats are refused.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -33,7 +39,7 @@ _MUL2 = 0x94D049BB133111EB
 
 def mix64(x: int) -> int:
     """SplitMix64 finalizer: a bijective avalanche on 64-bit words."""
-    x &= MASK64
+    x = operator.index(x) & MASK64
     x = ((x ^ (x >> 30)) * _MUL1) & MASK64
     x = ((x ^ (x >> 27)) * _MUL2) & MASK64
     return x ^ (x >> 31)
@@ -41,7 +47,7 @@ def mix64(x: int) -> int:
 
 def substream(seed: int, label: int) -> int:
     """Seed of the independent stream identified by (seed, label)."""
-    return mix64(mix64(seed) ^ ((label & MASK64) * GOLDEN & MASK64))
+    return mix64(mix64(seed) ^ ((operator.index(label) & MASK64) * GOLDEN & MASK64))
 
 
 def substreams(seed: int, labels) -> np.ndarray:
@@ -72,16 +78,19 @@ def apply_swaps(items: list, swaps) -> list:
 
 
 # rows from which permutations applies each swap to all rows at once: below
-# it, three numpy calls per position cost more than the scalar swaps they
-# replace (crossover measured at 16-32 rows for sizes 20-241 on a 2-core VM)
-_BLOCK_ROWS = 24
+# it, one sort over the block's entries costs less than three numpy calls per
+# position (crossover measured at 16-32 rows for size 20 and at about 64 for
+# sizes 60-240 on a 2-core VM)
+_BLOCK_ROWS = 64
 
 
 def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     """(len(keys), count, size) int64 array whose [r, c] row is draw c of
     ``Rng(keys[r]).permutation(size)``, all from one word block; the rows of
     a key holding a word within size of 2**64, where ``Rng.below`` may
-    reject, are redrawn by ``Rng``."""
+    reject, are redrawn by ``Rng``. Blocks of fewer than _BLOCK_ROWS rows are
+    shuffled by one sort (:func:`_sort_shuffles`), larger ones one position
+    at a time over every row."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if size < 0:
@@ -89,12 +98,11 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     width = max(size - 1, 0)
     swaps = u64_blocks(keys, count * width).reshape(len(keys) * count, width)
-    rejected = np.flatnonzero((swaps > np.uint64(MASK64 - size)).reshape(len(keys), -1).any(axis=1))
+    rejected = np.flatnonzero((swaps > np.uint64(MASK64 - size)).reshape(len(keys), count * width).any(axis=1))
     swaps %= np.arange(size, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
     rows = len(swaps)
     if rows < _BLOCK_ROWS:
-        perms = np.array([apply_swaps(list(range(size)), row) for row in swaps.tolist()],
-                         dtype=np.int64).reshape(rows, size)
+        perms = _sort_shuffles(swaps, size)
     else:
         # Fisher-Yates one position at a time over every row, on the
         # transposed block so that each position is one contiguous line
@@ -112,6 +120,62 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     for r in rejected.tolist():
         rng = Rng(int(keys[r]))
         perms[r] = [rng.permutation(size) for _ in range(count)]
+    return perms
+
+
+def _sort_shuffles(swaps: np.ndarray, size: int) -> np.ndarray:
+    """(rows, size) int64 array whose row r is
+    ``apply_swaps(list(range(size)), swaps[r])``, every row at once.
+
+    Step i of a row (i = size-1 down to 1) swaps position i with its target
+    t_i = swaps[r, size-1-i] <= i, and no later step touches position i; a
+    no-op step 0 with t_0 = 0 comes last. So position i ends with the value
+    t_i holds just before step i: t_i itself, unless a step above i targeted
+    t_i, when it is V(g), g the next larger step on t_i. V(q), the value
+    position q holds just before its own step, is likewise q, unless a step
+    above q targets q, when it is V(f), f the least such step. One sort of
+    the pairs (t_i, i) of every row (row r's positions offset by r * size)
+    groups the steps by target in ascending order: g is the next entry of a
+    group, f the first entry of group q other than q. V follows f to its end
+    by pointer jumping (5 rounds at 17k entries).
+    """
+    rows = len(swaps)
+    n = rows * size
+    offsets = (np.arange(rows) * size)[:, None]
+    target = np.empty((rows, size), dtype=np.int64)
+    target[:, :1] = 0
+    target[:, 1:] = swaps[:, ::-1]
+    target += offsets
+    # target << shift | step, below 2**63 for n < 2**31 entries
+    shift = max(n - 1, 0).bit_length()
+    pairs = target.reshape(-1) << shift
+    del target
+    pairs |= np.arange(n)
+    pairs.sort()
+    step = np.zeros(n + 1, dtype=np.int64)  # one slot more, so that step[1:] is each slot's next
+    np.bitwise_and(pairs, (1 << shift) - 1, out=step[:n])
+    following, step = step[1:], step[:n]
+    target = np.right_shift(pairs, shift, out=pairs)
+    bounds = np.ones(n + 1, dtype=bool)  # bounds[s]: slots s - 1 and s hold different targets
+    np.not_equal(target[1:], target[:-1], out=bounds[1:n])
+    last = bounds[1:]  # slot s holds its target's largest step; where not, following[s] is g of step[s]
+    # jump[q] = f(q), or q itself where no step above q targets q
+    jump = np.arange(n)
+    first = np.flatnonzero(bounds[:n])
+    jump[target[first]] = step[first]
+    looped = np.flatnonzero(step == target)  # a step on itself is first on its target
+    jump[step[looped]] = np.where(last[looped], step[looped], following[looped])
+    active = np.flatnonzero(jump[jump] != jump)  # steps whose jump is not yet a chain's end
+    while len(active):
+        up = jump[jump[active]]
+        jump[active] = up
+        active = active[jump[up] != up]
+    held = np.where(last, target, jump.take(following))  # the value each slot's step leaves
+    del jump
+    perms = target  # the targets are read: scatter the values over them
+    perms[step] = held
+    perms = perms.reshape(rows, size)
+    perms -= offsets
     return perms
 
 
@@ -136,7 +200,7 @@ class Rng:
     __slots__ = ("key", "counter")
 
     def __init__(self, seed: int):
-        self.key = seed & MASK64
+        self.key = operator.index(seed) & MASK64
         self.counter = 0
 
     def u64(self) -> int:

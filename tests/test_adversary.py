@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -218,6 +219,44 @@ def test_greedy_takes_a_numpy_threshold_as_a_plain_int():
     assert type(out.params["threshold"]) is int
     assert out.result == greedy_budget_adversary(complete(9), 3, 77).result
     assert json.loads(json.dumps(out.to_jsonable()))["params"]["threshold"] == 3
+
+
+@pytest.mark.parametrize("seed", [3, 2**63 - 1])
+def test_greedy_takes_a_numpy_seed_as_a_plain_int(seed):
+    h = sample_hypergraph(12, 3, 0.7, 21)
+    expected = greedy_budget_adversary(h, 4, seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wrapped in (np.int64(seed), np.uint64(seed)):
+            out = greedy_budget_adversary(h, 4, wrapped)
+            assert out.result == expected.result and out.deleted == expected.deleted
+            assert type(out.params["seed"]) is int and out.to_jsonable() == expected.to_jsonable()
+    for bad in (3.0, 1.5, "3"):
+        with pytest.raises(TypeError):
+            greedy_budget_adversary(h, 4, bad)
+
+
+def _dense_and_sparse_graphs():
+    # C(n, k-1) <= kE: subset ids are ranks; above it, index positions. The
+    # sparse n = 400 graphs hold a complete K_12^(3) or K_9^(2), so some of
+    # their co-degrees are far above 1
+    sparse = sample_hypergraph(400, 3, 3e-5, 2).edges
+    return [(sample_hypergraph(30, 3, 0.05, 5), True), (sample_hypergraph(12, 3, 0.7, 21), True),
+            (sample_hypergraph(400, 3, 3e-5, 2), False),
+            (Hypergraph(400, 3, list(itertools.combinations(range(12), 3)) + list(sparse)), False),
+            (Hypergraph(400, 2, list(itertools.combinations(range(9), 2)) + [(10, 11), (12, 30)]), False)]
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_greedy_scans_by_definition_on_both_key_branches(seed):
+    for h, dense in _dense_and_sparse_graphs():
+        assert (math.comb(h.n, h.k - 1) <= h.k * h.edge_count()) == dense
+        fresh = Hypergraph(h.n, h.k, h.edges)
+        greedy_budget_adversary(fresh, 2, seed)
+        assert (fresh._index is None) == dense  # the dense branch never builds the input's index
+        hi = max(map(len, oracles.completions_by_enumeration(h.edges, h.k).values()))
+        for threshold in sorted({0, 1, 2, hi // 2, hi - 1, hi}):
+            assert_scan_by_definition(h, threshold, seed)
 
 
 def test_greedy_deterministic_in_seed():

@@ -127,20 +127,27 @@ def test_index_on_both_sides_of_the_int32_rank_cut(k, last):
         assert [tuple(h._completions[a:b].tolist()) for a, b in zip(offsets, offsets[1:])] == list(table.values())
         for arr in (h._keys, h._offsets, h._completions):
             assert arr.dtype == np.int64 and not arr.flags.writeable
-        for e, slots in zip(h.edges, h._edge_slots().tolist()):
+        for e, slots in zip(h.edges, h._subset_ids()[0].tolist()):  # sparse: index positions
             assert [int(h._keys[s]) for s in slots] == [hg._lex_rank(n, e[:j] + e[j + 1:]) for j in range(k)]
 
 
-@pytest.mark.parametrize("n,k,p,seed,full", [
-    (60, 3, 0.5, 2024, True), (12, 4, 0.9, 1, True), (30, 3, 0.05, 5, False), (30, 2, 0.03, 3, False)])
-def test_edge_slots_are_index_positions_with_and_without_absent_subsets(n, k, p, seed, full):
-    # with every subset a key, each rank is its own position and the search is skipped
+@pytest.mark.parametrize("n,k,p,seed,dense,full", [
+    (60, 3, 0.5, 2024, True, True), (12, 4, 0.9, 1, True, True), (30, 3, 0.05, 5, True, False),
+    (30, 2, 0.03, 3, False, False), (400, 3, 3e-5, 2, False, False)])
+def test_subset_ids_name_the_subsets_on_both_branches(n, k, p, seed, dense, full):
+    # dense (C(n, k-1) <= kE): ids are ranks and degrees one count over them,
+    # zeros included, with no index built; sparse: ids are index positions
     h = sample_hypergraph(n, k, p, seed)
+    assert (math.comb(n, k - 1) <= k * h.edge_count()) == dense
+    ids, degrees = h._subset_ids()
+    assert (h._index is None) == dense
+    assert ids.shape == (h.edge_count(), k)
+    ranks = hg._subset_ranks(n, h.edge_array).T
+    assert np.array_equal(ids if dense else h._keys[ids], ranks)
     assert h._has_every_subset() == full
-    slots = h._edge_slots()
-    assert slots.shape == (h.edge_count(), k)
-    assert np.array_equal(slots, np.searchsorted(h._keys, hg._subset_ranks(n, h.edge_array)).T)
-    assert np.array_equal(np.bincount(slots.ravel(), minlength=len(h._keys)), np.diff(h._offsets))
+    assert len(degrees) == (math.comb(n, k - 1) if dense else len(h._keys))
+    assert np.array_equal(degrees[h._keys] if dense else degrees, h._degrees())
+    assert degrees.sum() == k * h.edge_count()
 
 
 def test_subset_count_refuses_from_the_int64_rank_cut():

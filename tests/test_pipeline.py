@@ -331,14 +331,14 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
     """A 2,000-attempt parity search runs the bitset decision once, on
     attempt 1: every later attempt puts more rows in a row-table component
     than it has last-part vertices, so the component screen rejects it. The
-    attempts are drawn in three blocks, and the scalar swaps run only for
+    attempts are drawn in three blocks, and the sort shuffle runs only for
     attempt 1's, the one drawn below the block-loop crossover."""
-    swapped, decided, drawn = [], [], []
-    unpatched_swaps, unpatched_decision, unpatched_draw = rng.apply_swaps, pipeline._is_perfect, pipeline.permutations
+    sorted_rows, decided, drawn = [], [], []
+    unpatched_sort, unpatched_decision, unpatched_draw = rng._sort_shuffles, pipeline._is_perfect, pipeline.permutations
 
-    def counting_swaps(items, swaps):
-        swapped.append(len(items))
-        return unpatched_swaps(items, swaps)
+    def counting_sort(swaps, size):
+        sorted_rows.append((len(swaps), size))
+        return unpatched_sort(swaps, size)
 
     def counting_decision(masks):
         decided.append(len(masks))
@@ -348,7 +348,7 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
         drawn.append(len(keys))
         return unpatched_draw(keys, size, count)
 
-    monkeypatch.setattr(rng, "apply_swaps", counting_swaps)
+    monkeypatch.setattr(rng, "_sort_shuffles", counting_sort)
     monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
     monkeypatch.setattr(pipeline, "permutations", counting_draw)
     assert not find_matching_permutations(parity_n60_partite, 2000, 7, strategy).success
@@ -356,8 +356,7 @@ def test_pi_search_loop_only_decides(monkeypatch, parity_n60_partite, strategy):
     shuffles = 2 if strategy == STRATEGY_FULL else 1
     sizes = [1, 1024, 975]  # attempt 1 alone, then full blocks
     assert drawn == sizes
-    below = [size * shuffles for size in sizes if size * shuffles < rng._BLOCK_ROWS]
-    assert 0 < len(swapped) == sum(below) and set(swapped) == {20}
+    assert shuffles < rng._BLOCK_ROWS <= 975 * shuffles and sorted_rows == [(shuffles, 20)]
 
 
 def test_block_draw_memory_does_not_grow_with_budget():
@@ -665,14 +664,15 @@ def index_builds(monkeypatch):
 def test_pipeline_builds_no_index(strategy, index_builds):
     # delta* and the pi-search read the restriction's row table; the only
     # co-degree indexes are those of the graphs handed in, each built once
-    # (the adversaries' by the residual minimum in their outcomes, the
-    # sampled graph's by the greedy scan, the unread copy's by the pipeline)
+    # (the adversaries' by the residual minimum in their outcomes, the unread
+    # copy's by the pipeline); the greedy scan counts the sampled graph's
+    # co-degrees from its edge array, as C(24, 2) <= 3E
     sampled = sample_hypergraph(24, 3, 0.6, 11)
     graphs = {"none": sample_hypergraph(24, 3, 0.6, 11), "greedy": greedy_budget_adversary(sampled, 3, 1).result,
               "parity": parity_adversary(sampled).result}
     outcomes = {name: find_perfect_matching(h, 0.2, PipelineConfig(pi_budget=30, strategy=strategy), seed=4)
                 for name, h in graphs.items()}
-    assert sorted(map(id, index_builds)) == sorted(map(id, [sampled, *graphs.values()]))
+    assert sorted(map(id, index_builds)) == sorted(map(id, graphs.values()))
     assert outcomes["none"].matched and not outcomes["parity"].matched
     assert outcomes["parity"].min_transversal_codegree == 0
 

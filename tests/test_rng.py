@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -97,7 +100,7 @@ def _assert_scalar_rows(keys, drawn, size, count):
         assert shuffles == [scalar.permutation(size) for _ in range(count)]
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 241, 17153])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 60, 241, 17153])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_permutations_match_scalar_permutations(size, count):
     keys = [0, 1, MASK64]
@@ -106,19 +109,19 @@ def test_permutations_match_scalar_permutations(size, count):
         _assert_scalar_rows(drawn_keys, permutations(drawn_keys, size, count), size, count)
 
 
-@pytest.mark.parametrize("size", [0, 1, 2, 20, 241, 17153])
+@pytest.mark.parametrize("size", [0, 1, 2, 20, 60, 241, 17153])
 @pytest.mark.parametrize("count", [1, 2, 3])
 def test_permutations_block_loop_matches_scalar_permutations(monkeypatch, size, count):
     """Row counts (keys times count) just below, at and above the crossover
-    from the scalar swaps to the swaps applied to every row at once."""
+    from the sort shuffle to the swaps applied to every row at once."""
     calls = []
-    unpatched = rng.apply_swaps
+    unpatched = rng._sort_shuffles
 
-    def counting(items, swaps):
-        calls.append(len(items))
-        return unpatched(items, swaps)
+    def counting(swaps, size):
+        calls.append(len(swaps))
+        return unpatched(swaps, size)
 
-    monkeypatch.setattr(rng, "apply_swaps", counting)
+    monkeypatch.setattr(rng, "_sort_shuffles", counting)
     crossover = rng._BLOCK_ROWS
     key_counts = sorted({(crossover - 1) // count, -(-crossover // count), -(-crossover // count) + 1})
     rows = [n * count for n in key_counts]
@@ -127,8 +130,46 @@ def test_permutations_block_loop_matches_scalar_permutations(monkeypatch, size, 
         keys = substreams(size, range(n))
         calls.clear()
         drawn = permutations(keys, size, count)
-        assert len(calls) == (n * count if n * count < crossover else 0)
+        assert calls == ([n * count] if n * count < crossover else [])
         _assert_scalar_rows(keys, drawn, size, count)
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 20, 60, 241, 17153, 120_001])
+def test_sort_shuffles_match_apply_swaps(size):
+    # the kernel alone, on swap rows of every reach: all zeros, all at their
+    # own step (no-op swaps), and drawn
+    width = max(size - 1, 0)
+    reach = np.arange(size, 1, -1, dtype=np.uint64)
+    drawn = u64_blocks(substreams(size, range(2)), width) % reach
+    for swaps in (np.zeros((1, width), dtype=np.uint64), (reach - np.uint64(1))[None, :], drawn):
+        shuffled = rng._sort_shuffles(swaps, size)
+        assert shuffled.shape == (len(swaps), size) and shuffled.dtype == np.int64
+        assert shuffled.tolist() == [rng.apply_swaps(list(range(size)), row) for row in swaps.tolist()]
+
+
+def test_long_row_is_the_scalar_permutation():
+    key = substream(24, 1)
+    assert permutations([key], 120_000)[0, 0].tolist() == Rng(key).permutation(120_000)
+
+
+def test_long_row_memory_is_a_few_arrays_of_the_row():
+    # the sort shuffle holds a few int64 arrays of the row at once: a bound of
+    # 8 words an entry; the scalar list path held about 84 bytes an entry
+    size = 706_000
+    tracemalloc.start()
+    try:
+        permutations([substream(3, 4)], size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * size
+
+
+@pytest.mark.parametrize("size", [0, 1, 5])
+@pytest.mark.parametrize("count", [0, 1, 2])
+def test_permutations_of_no_keys_are_empty(size, count):
+    drawn = permutations([], size, count)
+    assert drawn.shape == (0, count, size) and drawn.dtype == np.int64
 
 
 def test_permutations_fall_back_to_scalar_draws(monkeypatch):
@@ -149,11 +190,11 @@ def test_permutations_fall_back_to_scalar_draws(monkeypatch):
 
     monkeypatch.setattr(rng, "u64_blocks", near_top)
     monkeypatch.setattr(rng, "Rng", CountingRng)
-    for keys in ([9, 10, 11], list(range(9, 9 + rng._BLOCK_ROWS))):
+    for keys, size in (([9, 10, 11], 50), (list(range(9, 9 + rng._BLOCK_ROWS)), 50), ([9, 10], 17153)):
         redraws.clear()
-        drawn = permutations(keys, 50, 2)
+        drawn = permutations(keys, size, 2)
         assert redraws == [10]
-        _assert_scalar_rows(keys, drawn, 50, 2)
+        _assert_scalar_rows(keys, drawn, size, 2)
 
 
 def test_choose_distinct_and_in_range():
@@ -205,3 +246,25 @@ def test_u64_blocks_rejects_negative_count():
         u64_blocks([1, 2], -1)
     with pytest.raises(ValueError):
         Rng(1).u64_block(-1)
+
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**63 - 1])
+def test_numpy_integer_seeds_give_the_python_int_streams(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no uint64 wraparound warning either
+        for wrapped in (np.int64(seed), np.uint64(seed)):
+            assert mix64(wrapped) == mix64(seed)
+            assert substream(wrapped, wrapped) == substream(seed, seed)
+            assert substreams(wrapped, [1, 5]).tolist() == substreams(seed, [1, 5]).tolist()
+            drawn = Rng(wrapped)
+            assert type(drawn.key) is int
+            assert [drawn.u64() for _ in range(3)] == Rng(seed).u64_block(3).tolist()
+
+
+@pytest.mark.parametrize("bad", [1.5, 3.0, "3"])
+def test_non_integer_seeds_and_labels_are_refused(bad):
+    for call in (lambda: Rng(bad), lambda: mix64(bad), lambda: substream(bad, 1), lambda: substream(1, bad),
+                 lambda: substreams(bad, [1])):
+        with pytest.raises(TypeError):
+            call()

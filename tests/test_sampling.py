@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypermatch import (
     verify_partition,
 )
 
-from hypermatch import pipeline, sampling
+from hypermatch import pipeline, rng, sampling
 from hypermatch.rng import Rng, substream
 from hypermatch.sampling import _part_counts, _probe, choose_partition
 
@@ -166,6 +167,20 @@ def test_partition_sizes_must_be_integers(n, k):
 
 def test_partition_takes_numpy_int_sizes():
     assert sample_balanced_partition(np.int64(6), np.int32(3), 4) == sample_balanced_partition(6, 3, 4)
+
+
+@pytest.mark.parametrize("seed", [1, 2**63 - 1])
+def test_samplers_take_numpy_int_seeds(seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for wrapped in (np.int64(seed), np.uint64(seed)):
+            assert sample_hypergraph(9, 3, 0.5, wrapped) == sample_hypergraph(9, 3, 0.5, seed)
+            assert sample_balanced_partition(9, 3, wrapped) == sample_balanced_partition(9, 3, seed)
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            sample_hypergraph(9, 3, 0.5, bad)
+        with pytest.raises(TypeError):
+            sample_balanced_partition(9, 3, bad)
 
 
 def test_partition_exchangeability():
@@ -321,7 +336,8 @@ def test_derived_last_part_count_outside_its_range_is_an_error(k):
 
 @pytest.mark.parametrize("count", [1, 23, 24, 32, 33, 70])
 def test_partition_labels_are_the_trusted_assignments(count):
-    # chunks of 32 rows, below and from rng._BLOCK_ROWS = 24: scalar and block shuffles
+    # chunks of up to 32 rows, each below rng._BLOCK_ROWS: one sort shuffle a chunk
+    assert sampling._RETRY_CHUNK < rng._BLOCK_ROWS
     n, k, seed = 30, 3, 8
     blocks = list(sampling._partition_labels(n, k, seed, count))
     chunk = sampling._RETRY_CHUNK
