@@ -9,6 +9,7 @@ terms so that none overflows, is the reference the tests compare them against.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -47,6 +48,7 @@ def binomial_upper_tail(trials: int, q: float, threshold: int) -> float:
     without the mode floor((trials + 1) q): the upper side above it, else 1 minus
     the lower side, so threshold <= 0 reads 1. Each log-space term, and so that
     sum, is off by about lgamma(trials + 1) * 2^-53 relative (3e-9 at 2 * 10^6 trials)."""
+    trials, threshold = operator.index(trials), operator.index(threshold)
     if trials < 0 or not 0.0 <= q <= 1.0:
         raise ValueError("need trials >= 0 and q in [0, 1]")
     lo = max(0, threshold)
@@ -64,6 +66,7 @@ def binomial_upper_tail(trials: int, q: float, threshold: int) -> float:
 
 def binomial_tail_bound(trials: int, q: float, threshold: int) -> BoundValue:
     """(e * trials * q / threshold)^threshold >= P(Bin(trials, q) >= threshold)."""
+    trials, threshold = operator.index(trials), operator.index(threshold)
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if trials < 0 or not 0.0 <= q <= 1.0:

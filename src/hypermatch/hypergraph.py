@@ -394,7 +394,7 @@ class PartiteHypergraph:
         """(position, masks, delta*), built on first use: ``position[v]`` is
         v's index inside its part, and bit v of the int
         ``masks[sum_j p_j * m^(k-2-j)]`` (an object array, so one fancy index
-        gathers a block of rows) is set exactly when last-part position v
+        reads an attempt's m rows) is set exactly when last-part position v
         completes the transversal tuple with positions p_0..p_{k-2} in parts
         0..k-2 to an edge. The tuple ranks come from per-vertex weight tables
         (_tuple_ranks), with each part left out in turn for delta*."""

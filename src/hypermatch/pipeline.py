@@ -63,10 +63,6 @@ _LABEL_PI = 2
 
 # attempts per block of family draws: bounds the draw's memory for any budget
 _MAX_BLOCK = 1024
-# families per mask gather: when many attempts of a block pass the component
-# screen, a quarter of a full block keeps the gathered object rows and their
-# lists smaller than the draw's word block
-_GATHER_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -89,9 +85,9 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
-    position, _, _ = partite._row_table()
-    [masks] = _gathered(partite, _row_index(partite, position[np.asarray(family.maps)][None]))
-    return BipartiteGraph._from_masks(masks)
+    position, table, _ = partite._row_table()
+    [index] = _row_index(partite, position[np.asarray(family.maps)][None])
+    return BipartiteGraph._from_masks(table[index].tolist())
 
 
 def _row_index(partite: PartiteHypergraph, local: np.ndarray) -> np.ndarray:
@@ -103,14 +99,6 @@ def _row_index(partite: PartiteHypergraph, local: np.ndarray) -> np.ndarray:
         index = index * m
         index += local[:, j] if j < local.shape[1] else np.arange(m)
     return index
-
-
-def _gathered(partite: PartiteHypergraph, index: np.ndarray) -> Iterator[list[int]]:
-    """Row bitmasks of the families with row-table entries index[b], in
-    turn, gathered from the row table _GATHER_ROWS families at a time."""
-    _, table, _ = partite._row_table()
-    for start in range(0, len(index), _GATHER_ROWS):
-        yield from table[index[start:start + _GATHER_ROWS]].tolist()
 
 
 def _balanced(partite: PartiteHypergraph, index: np.ndarray) -> list[int]:
@@ -199,12 +187,12 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     tuples of parts 0..k-2 and the last part, so once attempt 1 has failed,
     one bincount per block screens the attempts by that graph's components
     (_balanced): an attempt with more rows in a component than the
-    component has last-part vertices has no perfect matching. Only the
-    balanced attempts' row bitmasks are gathered (_gathered) and decided by
-    the exact bitset test bipartite._is_perfect. Only the winner is built
-    as vertices; Hopcroft-Karp runs once, on the winner, whose matching is
-    translated, or on the last attempt of a failed search, whose maximum
-    matching yields the Hall certificate.
+    component has last-part vertices has no perfect matching. Each attempt
+    left to decide reads only its own m row bitmasks from the row table, by
+    one fancy index, and the exact bitset test bipartite._is_perfect decides
+    it. Only the winner is built as vertices; Hopcroft-Karp runs once, on
+    the winner, whose matching is translated, or on the last attempt of a
+    failed search, whose maximum matching yields the Hall certificate.
     """
     budget = operator.index(budget)
     if budget < 1:
@@ -212,20 +200,20 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
+    _, table, _ = partite._row_table()
     tried = 0
     for block in _drawn_positions(partite.m, shuffles, seed, budget):
         index = _row_index(partite, block)
         # attempt 1 is decided alone; once it fails, table components screen the rest
-        kept = _balanced(partite, index) if tried else range(len(block))
-        for b, masks in zip(kept, _gathered(partite, index[kept])):
+        for b in _balanced(partite, index) if tried else range(len(block)):
+            masks = table[index[b]].tolist()
             if _is_perfect(masks):
                 graph = BipartiteGraph._from_masks(masks)
                 return PiSearch(
                     success=True, family=_family_at(partite, block[b]), matching=max_matching(graph),
                     attempts=tried + b + 1, min_degree=graph.min_degree())
         tried += len(block)
-    [masks] = _gathered(partite, index[-1:])  # the last attempt's rows
-    graph = BipartiteGraph._from_masks(masks)
+    graph = BipartiteGraph._from_masks(table[index[-1]].tolist())  # the last attempt's rows
     return PiSearch(success=False, family=None, matching=None, attempts=budget,
                     certificate=hall_certificate(graph))
 

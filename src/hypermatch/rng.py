@@ -20,8 +20,8 @@ few rows, however long, is shuffled by one sort of its swap targets
 (:func:`_sort_shuffles`), a block of many rows applies each swap position to
 every row at once.
 
-Seeds and labels are read with ``operator.index``, so numpy integers give
-the streams of the equal Python ints and floats are refused.
+Seeds, labels and counts are read with ``operator.index``, so numpy integers
+give the streams of the equal Python ints and floats are refused.
 """
 
 from __future__ import annotations
@@ -51,8 +51,11 @@ def substream(seed: int, label: int) -> int:
 
 
 def substreams(seed: int, labels) -> np.ndarray:
-    """uint64 vector with ``substream(seed, label)`` for each label in [0, 2**64)."""
-    x = np.asarray(labels, dtype=np.uint64) * np.uint64(GOLDEN)
+    """uint64 vector with ``substream(seed, label)`` for each integer or bool label."""
+    x = np.asarray(labels)
+    if x.dtype.kind not in "biu":  # Python ints that numpy reads as float or object pass; floats and strings raise
+        x = np.array([operator.index(label) & MASK64 for label in labels], dtype=np.uint64)
+    x = x.astype(np.uint64, copy=False) * np.uint64(GOLDEN)  # negative labels wrap mod 2**64, as in substream
     x ^= np.uint64(mix64(seed))
     return _mix64_array(x)
 
@@ -61,6 +64,7 @@ def u64_blocks(keys, count: int, start: int = 0) -> np.ndarray:
     """(len(keys), count) block whose row r holds draws start+1..start+count
     of the stream keyed by keys[r]: ``Rng(keys[r]).u64_block(count)`` when
     start is 0."""
+    count, start = operator.index(count), operator.index(start)
     if count < 0:
         raise ValueError("count must be nonnegative")
     # the ticks are not held while mixing: one block-sized temporary, not two
@@ -91,6 +95,7 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     reject, are redrawn by ``Rng``. Blocks of fewer than _BLOCK_ROWS rows are
     shuffled by one sort (:func:`_sort_shuffles`), larger ones one position
     at a time over every row."""
+    size, count = operator.index(size), operator.index(count)
     if count < 0:
         raise ValueError("count must be nonnegative")
     if size < 0:
@@ -217,6 +222,7 @@ class Rng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection."""
+        n = operator.index(n)
         if n <= 0:
             raise ValueError("n must be positive")
         zone = (1 << 64) - ((1 << 64) % n)

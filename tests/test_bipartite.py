@@ -294,6 +294,7 @@ def test_bitset_decision_on_parity_auxiliary_graphs(n, k):
     """Parity residuals never match; their auxiliary graphs mostly miss by one row."""
     h = parity_adversary(sample_hypergraph(n, k, 0.5, n)).result
     hp = induce_partite(h, sample_balanced_partition(n, k, 1))
+    table = hp._row_table()[1]
     for block in pipeline._drawn_positions(hp.m, k - 1, 5, 150):
-        for masks in pipeline._gathered(hp, pipeline._row_index(hp, block)):
-            _assert_decision_agrees(BipartiteGraph._from_masks(masks))
+        for index in pipeline._row_index(hp, block):
+            _assert_decision_agrees(BipartiteGraph._from_masks(table[index].tolist()))

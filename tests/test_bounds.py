@@ -6,6 +6,7 @@ import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from hypermatch import BoundValue, binomial_tail_bound, binomial_upper_tail, chernoff_bounds, mcdiarmid_bound
@@ -78,6 +79,19 @@ def test_binomial_bound_rejects_bad_arguments():
         binomial_tail_bound(-1, 0.5, 2)
     with pytest.raises(ValueError):
         binomial_tail_bound(10, 1.5, 2)
+
+
+@pytest.mark.parametrize("bad", [2.5, 10.0, "3"])
+def test_binomial_counts_and_thresholds_are_integers(bad):
+    for call in (lambda: binomial_upper_tail(bad, 0.5, 3), lambda: binomial_upper_tail(10, 0.5, bad),
+                 lambda: binomial_tail_bound(bad, 0.5, 2), lambda: binomial_tail_bound(10, 0.5, bad)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_binomial_counts_take_numpy_ints_as_plain_ints():
+    assert binomial_upper_tail(np.int64(10), 0.5, np.int32(3)) == binomial_upper_tail(10, 0.5, 3)
+    assert binomial_tail_bound(np.int64(10), 0.5, np.uint8(3)) == binomial_tail_bound(10, 0.5, 3)
 
 
 def test_binomial_self_test_grid():

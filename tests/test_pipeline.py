@@ -27,7 +27,7 @@ from hypermatch import (
 )
 from hypermatch import bipartite, pipeline, rng, sampling
 from hypermatch.experiment import ExperimentConfig, derive_trial_hypergraphs, run_trial
-from hypermatch.rng import MASK64, substream
+from hypermatch.rng import MASK64, Rng, substream
 import oracles
 
 
@@ -260,6 +260,42 @@ def test_pi_search_on_split_tables_matches_one_at_a_time_loop(graph, strategy):
     for budget in (1, 2, 3, 9, 30):
         expected = oracles.pi_search_one_at_a_time(hp, budget, 3, strategy)
         assert find_matching_permutations(hp, budget, 3, strategy) == expected
+
+
+def _hall_blocked_partite(k, m, density, seed):
+    """Partite graph on parts [jm, (j+1)m) holding each transversal k-tuple
+    with probability density, except that last-part positions 0 and 1 keep
+    only the tuples whose part-0 position is 0. Each attempt has one row
+    there, so no auxiliary graph has a perfect matching, yet the row table
+    is one component and the component screen passes most attempts."""
+    draws = Rng(seed)
+    edges = [tuple(j * m + p for j, p in enumerate(positions))
+             for positions in itertools.product(range(m), repeat=k)
+             if (positions[-1] > 1 or positions[0] == 0) and draws.u64() < density * 2**64]
+    partition = BalancedPartition([range(j * m, (j + 1) * m) for j in range(k)])
+    return induce_partite(Hypergraph(k * m, k, edges), partition)
+
+
+@pytest.mark.parametrize("strategy", pipeline.STRATEGIES)
+@pytest.mark.parametrize("k,m", [(3, 6), (4, 4)])
+def test_pi_search_on_hall_blocked_tables_matches_one_at_a_time_loop(monkeypatch, k, m, strategy):
+    """Balanced attempts that all fail, decided one by one across the edge
+    of the first full block (attempts 2-1025) and into the next."""
+    hp = _hall_blocked_partite(k, m, 0.7, 1)
+    decided = []
+    unpatched = pipeline._is_perfect
+
+    def counting_decision(masks):
+        decided.append(len(masks))
+        return unpatched(masks)
+
+    monkeypatch.setattr(pipeline, "_is_perfect", counting_decision)
+    for budget in (2, 1025, 1030):
+        expected = oracles.pi_search_one_at_a_time(hp, budget, 3, strategy)
+        assert not expected.success
+        decided.clear()
+        assert find_matching_permutations(hp, budget, 3, strategy) == expected
+    assert len(decided) > 1030 // 2  # the screen passes most attempts
 
 
 def test_pi_search_on_parity_table_with_multiword_rows_matches_one_at_a_time_loop():

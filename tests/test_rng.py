@@ -268,3 +268,37 @@ def test_non_integer_seeds_and_labels_are_refused(bad):
                  lambda: substreams(bad, [1])):
         with pytest.raises(TypeError):
             call()
+
+
+@pytest.mark.parametrize("labels", [[1.5], np.array([1.9]), ["3"], np.array([2.0, 3.0], dtype=np.float32),
+                                    [2**64, 1.5]])
+def test_substreams_refuse_non_integer_labels(labels):
+    with pytest.raises(TypeError):
+        substreams(1, labels)
+
+
+def test_substreams_take_integer_and_bool_labels_of_any_dtype():
+    for dtype in (np.int8, np.int32, np.int64, np.uint8, np.uint16, np.uint64):
+        assert substreams(2, np.array([0, 5, 100], dtype=dtype)).tolist() == [substream(2, t) for t in (0, 5, 100)]
+    signed = [-1, -2**63, 2**63 - 1]  # negative labels wrap mod 2**64, as in substream
+    assert substreams(2, signed).tolist() == [substream(2, t) for t in signed]
+    mixed = [-1, 2**64 - 1, 2**64 + 3]  # an object array
+    assert substreams(2, mixed).tolist() == [substream(2, t) for t in mixed]
+    assert substreams(2, [True, False]).tolist() == [substream(2, True), substream(2, False)]
+    assert substreams(2, []).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [2.5, 3.0, "3"])
+def test_non_integer_counts_are_refused(bad):
+    for call in (lambda: Rng(1).below(bad), lambda: Rng(1).u64_block(bad), lambda: u64_blocks([1], bad),
+                 lambda: u64_blocks([1], 2, bad), lambda: permutations([1], bad), lambda: permutations([1], 3, bad)):
+        with pytest.raises(TypeError):
+            call()
+
+
+def test_numpy_integer_counts_equal_plain_ints():
+    assert Rng(1).below(np.int64(7)) == Rng(1).below(7)
+    assert type(Rng(1).below(np.uint8(7))) is int
+    assert u64_blocks([1], np.int64(3), np.uint8(2)).tolist() == u64_blocks([1], 3, 2).tolist()
+    assert Rng(4).u64_block(np.int32(5)).tolist() == Rng(4).u64_block(5).tolist()
+    assert permutations([1, 2], np.int64(5), np.int32(2)).tolist() == permutations([1, 2], 5, 2).tolist()
