@@ -18,7 +18,6 @@ import io
 import json
 import math
 import operator
-import os
 import sys
 import time
 import typing
@@ -26,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, astuple, dataclass
 from typing import Optional, Sequence
 
+from . import cores
 from .adversary import greedy_budget_adversary, parity_adversary
 from .hypergraph import Edge, Hypergraph
 from .pipeline import (
@@ -234,16 +234,21 @@ def run_trial(cfg: ExperimentConfig, trial: int) -> TrialOutcome:
 
 def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialOutcome]:
     """All trials, in trial order regardless of scheduling, on at most
-    min(workers, trials, CPUs) threads."""
+    min(workers, trials, CPUs) threads, CPUs being those the process may
+    run on (cores.core_count). With one thread the trials run in the caller,
+    and a large sampler draw or index build may lend half its pass to an
+    idle core (cores.both); a pool of more threads holds an idle-core token
+    for each thread beyond the first, so its trials lend only to cores the
+    pool leaves idle. Records are the same on every path."""
     cfg.validate()
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     indices = range(cfg.trials)
-    threads = min(workers, cfg.trials, os.cpu_count() or 1)
+    threads = min(workers, cfg.trials, cores.core_count())
     if threads == 1:
         return [run_trial(cfg, t) for t in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with cores.holding(threads - 1), ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda t: run_trial(cfg, t), indices))
 
 

@@ -8,8 +8,10 @@ lexicographic ranks in C([n], k-1), ascending, and X = ``_keys[s]`` owns the
 ascending completions ``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE)
 memory for any n. It is one sort of rank * n + completion in the narrowest
 integer type that holds it (int32 while C(n, k-1) * n < 2^31, else int64);
-its int64, read-only arrays are published as one tuple, so a thread sees
-no index or all of it, and hypergraphs are safe to share across threads.
+from cores.SPLIT entries on, the passes before and after that sort run in
+halves, one of them on an idle core when there is one (cores.halves). Its
+int64, read-only arrays are published as one tuple, so a thread sees no
+index or all of it, and hypergraphs are safe to share across threads.
 
 Also here: balanced vertex partitions, the k-partite restriction (an edge
 array whose delta* is counted in the pass that builds its row bitmasks,
@@ -26,6 +28,8 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 import numpy as np
+
+from . import cores
 
 Edge = tuple[int, ...]
 
@@ -78,15 +82,21 @@ def _lex_rank(n: int, subset: Edge) -> int:
     return math.comb(n, r) - 1 - sum(math.comb(n - 1 - x, r - i) for i, x in enumerate(subset))
 
 
-def _subset_ranks(n: int, edges: np.ndarray) -> np.ndarray:
-    """(k, E) array: row j ranks every edge with its column j removed, in the
-    narrowest integer type (int32 or int64) that holds rank * n + vertex."""
+def _rank_type(n: int, k: int) -> type:
+    """The narrowest integer type (int32 or int64) that holds rank * n +
+    vertex for the (k-1)-subsets of [n]."""
+    return np.int32 if _subset_count(n, k - 1) * n < 2**31 else np.int64
+
+
+def _subset_ranks(n: int, edges: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """(k, E) array in _rank_type: row j ranks every edge with its column j
+    removed. Written into ``out``, a (k, E) array of that type, when given."""
     k = edges.shape[1]
-    count = _subset_count(n, k - 1)
-    dtype = np.int32 if count * n < 2**31 else np.int64
+    if out is None:
+        out = np.empty((k, len(edges)), dtype=_rank_type(n, k))
     # rank = C(n, k-1) - 1 - sum_i C(n-1-x_i, k-1-i); weights[j, x] = C(n-1-x, j), rows contiguous
-    weights = np.ascontiguousarray(_binomial_table(n, k - 1)[::-1].T, dtype=dtype)
-    out = np.full((k, len(edges)), count - 1, dtype=dtype)
+    weights = np.ascontiguousarray(_binomial_table(n, k - 1)[::-1].T, dtype=out.dtype)
+    out[...] = math.comb(n, k - 1) - 1
     for i in range(k - 1):  # member x_i is column i of the edge in rows j > i, column i + 1 in rows j <= i
         out[i + 1:] -= weights[k - 1 - i][edges[:, i]]
         out[:i + 1] -= weights[k - 1 - i][edges[:, i + 1]]
@@ -127,20 +137,40 @@ class Hypergraph:
         self.n, self.k, self.edge_array, self._index, self._edges = n, k, edge_array, None, None
 
     def _build_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(_keys, _offsets, _completions), which _indexed builds on first read."""
-        # one in-place sort of rank * n + completion in the ranks' type; keys start at pair 0 and rank changes
-        n = self.n
-        packed = _subset_ranks(n, self.edge_array)
-        packed *= n
-        packed += self.edge_array.T.astype(packed.dtype)
+        """(_keys, _offsets, _completions), which _indexed builds on first read.
+
+        One in-place sort of rank * n + completion in _rank_type. The pass
+        that packs the edges' rows and the pass that splits the sorted array
+        into keys and completions each run in two halves (cores.halves)."""
+        n, edges = self.n, self.edge_array
+        packed = np.empty((self.k, len(edges)), dtype=_rank_type(n, self.k))
+
+        def pack(lo, hi):  # columns lo..hi-1: the packed pairs of edges lo..hi-1
+            block = _subset_ranks(n, edges[lo:hi], out=packed[:, lo:hi])
+            block *= n
+            block += edges[lo:hi].T  # cast a buffer at a time: no temporary the size of the block
+
+        cores.halves(pack, len(edges), packed.size)
         packed = packed.reshape(-1)
         packed.sort()
-        ranks = packed // n
-        starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])
-        keys, offsets = ranks[starts].astype(np.int64, copy=False), np.append(starts, len(ranks))
-        packed -= np.multiply(ranks, n, out=ranks)  # the completions; ranks go before the int64 copy
-        del ranks
-        index = (keys, offsets, packed.astype(np.int64, copy=False))
+        # in place when the pairs are int64 already: each half reads and writes only its own slots
+        completions = packed if packed.dtype == np.int64 else np.empty(len(packed), dtype=np.int64)
+
+        def split(lo, hi):  # (starts, ranks) of the keys that slots lo..hi-1 begin; their completions
+            pairs = packed[lo:hi]
+            # int64 ranks, where the completions go unless that is where the pairs are
+            ranks = np.floor_divide(pairs, n, out=None if completions is packed else completions[lo:hi])
+            starts = np.flatnonzero(np.r_[ranks[:1] >= 0, ranks[1:] != ranks[:-1]])
+            keys = ranks[starts]
+            np.subtract(pairs, np.multiply(ranks, n, out=ranks), out=completions[lo:hi])
+            starts += lo
+            return starts, keys
+
+        (starts, keys), *rest = cores.halves(split, len(packed), len(packed))
+        for more, later in rest:  # the second half's first slot starts a key unless its run began before
+            skip = int(keys[-1] == later[0])
+            starts, keys = np.concatenate([starts, more[skip:]]), np.concatenate([keys, later[skip:]])
+        index = (keys, np.append(starts, len(packed)), completions)
         for arr in index:
             arr.flags.writeable = False
         return index

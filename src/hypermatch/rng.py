@@ -103,7 +103,10 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
     keys = np.asarray(keys, dtype=np.uint64)
     width = max(size - 1, 0)
     swaps = u64_blocks(keys, count * width).reshape(len(keys) * count, width)
-    rejected = np.flatnonzero((swaps > np.uint64(MASK64 - size)).reshape(len(keys), count * width).any(axis=1))
+    limit = np.uint64(MASK64 - size)
+    # keys holding a word above limit, where below() may reject; looked for only when the block's largest is
+    rejected = (np.flatnonzero((swaps > limit).reshape(len(keys), count * width).any(axis=1)).tolist()
+                if swaps.max(initial=0) > limit else [])
     swaps %= np.arange(size, 1, -1, dtype=np.uint64)  # in place: one block-sized array less
     rows = len(swaps)
     if rows < _BLOCK_ROWS:
@@ -122,7 +125,7 @@ def permutations(keys, size: int, count: int = 1) -> np.ndarray:
             lines[i] = held
         perms = lines.T  # splitting its row axis below makes no copy
     perms = perms.reshape(len(keys), count, size)
-    for r in rejected.tolist():
+    for r in rejected:
         rng = Rng(int(keys[r]))
         perms[r] = [rng.permutation(size) for _ in range(count)]
     return perms

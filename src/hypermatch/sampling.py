@@ -4,7 +4,9 @@ The binomial hypergraph sampler enumerates all C(n, k) subsets and spends
 one uniform draw on each, so the output is a pure function of
 (n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly. It
 draws the words a chunk of ranks at a time and keeps only the hits, so it
-takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory.
+takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory. From
+cores.SPLIT words on, the first half of the chunks is drawn on an idle
+core when there is one (cores.halves); the ranks are the same either way.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import cores
 from .hypergraph import BalancedPartition, Edge, Hypergraph, _subset_count, lex_unrank
 from .rng import Rng, permutations, substreams, u64_blocks
 
@@ -41,16 +44,21 @@ def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
 
 def _edge_ranks(total: int, p: float, seed: int) -> np.ndarray:
     """Ascending ranks t < total whose word w, draw t of the seed's stream,
-    has (w >> 11) * 2**-53 < p; drawn and compared a chunk of ranks at a time."""
+    has (w >> 11) * 2**-53 < p; drawn and compared a chunk of ranks at a
+    time, the two halves of the chunks on two cores (cores.halves)."""
     if p == 1.0:
         return np.arange(total)
     # u = w >> 11 is below 2**53, so u * 2**-53 is exact, and so is p * 2**53.
     # For integer u, u * 2**-53 < p exactly when u < ceil(p * 2**53), that is
     # when w < ceil(p * 2**53) << 11, a threshold that fits a word for p < 1
     threshold, key = np.uint64(math.ceil(p * 2**53) << 11), Rng(seed).key
-    return np.concatenate([
-        np.flatnonzero(u64_blocks((key,), min(_CHUNK, total - start), start)[0] < threshold) + start
-        for start in range(0, total, _CHUNK)])
+    starts = range(0, total, _CHUNK)
+
+    def hits(lo, hi):  # the edge ranks of chunks lo..hi-1
+        return [np.flatnonzero(u64_blocks((key,), min(_CHUNK, total - start), start)[0] < threshold) + start
+                for start in starts[lo:hi]]
+
+    return np.concatenate([ranks for run in cores.halves(hits, len(starts), total) for ranks in run])
 
 
 def sample_balanced_partition(n: int, k: int, seed: int) -> BalancedPartition:

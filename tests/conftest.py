@@ -1,9 +1,10 @@
 import os
 import sys
+import threading
 
 import pytest
 
-from hypermatch import pipeline, sampling
+from hypermatch import cores, pipeline, sampling
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -30,3 +31,37 @@ def partition_work(monkeypatch):
 
     monkeypatch.setattr(pipeline, "choose_partition", counted)
     return drawn, passes
+
+
+class _Handing:
+    """The helper pool with a count of the halves it was handed; with
+    ``refuse``, a pool that fails any test handing it one."""
+
+    def __init__(self, pool, refuse):
+        self.pool, self.refuse, self.handed = pool, refuse, 0
+
+    def submit(self, fn):
+        if self.refuse:
+            raise AssertionError("the helper thread was handed a half")
+        self.handed += 1
+        return self.pool.submit(fn)
+
+
+@pytest.fixture(params=["helper", "inline"])
+def split_everywhere(request, monkeypatch):
+    """Every pass splits in halves (cores.SPLIT is 0). "helper": one
+    idle-core token is free, so first halves go to the helper thread;
+    "inline": the test holds every token, and the helper is never handed a
+    half. Returns the helper pool's stand-in, which counts the halves."""
+    monkeypatch.setattr(cores, "SPLIT", 0)
+    helper = _Handing(cores._helper, refuse=request.param == "inline")
+    monkeypatch.setattr(cores, "_helper", helper)
+    held = 0
+    if request.param == "helper":
+        monkeypatch.setattr(cores, "_idle", threading.Semaphore(1))
+    else:
+        while cores._idle.acquire(blocking=False):
+            held += 1
+    yield helper
+    for _ in range(held):
+        cores._idle.release()

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import hypermatch.experiment as exp
-from hypermatch import check_perfect_matching
+from hypermatch import check_perfect_matching, cores
 from hypermatch.rng import substream
 
 
@@ -192,8 +192,18 @@ def test_run_experiment_rejects_nonpositive_workers(workers):
         exp.run_experiment(small_config(trials=2), workers=workers)
 
 
+def test_workers_give_equal_records_above_the_split_size():
+    # C(120, 3) = 280,840 words and ~250k index entries: one worker may split
+    # both passes, two workers on two cores hold every idle-core token
+    cfg = small_config(n=120, p=0.3, epsilon=0.2, trials=3, base_seed=2024)
+    assert math.comb(cfg.n, cfg.k) >= cores.SPLIT
+    one, two = exp.run_experiment(cfg, workers=1), exp.run_experiment(cfg, workers=2)
+    assert exp.records_to_csv(exp.records(one)) == exp.records_to_csv(exp.records(two))
+    assert exp.outcomes_to_json(cfg, one) == exp.outcomes_to_json(cfg, two)
+
+
 @pytest.mark.parametrize("workers,trials,cpus,threads", [
-    (10**9, 3, 8, 3), (10**9, 20, 8, 8), (5, 20, 8, 5), (4, 20, None, None), (np.int64(3), 20, 8, 3)])
+    (10**9, 3, 8, 3), (10**9, 20, 8, 8), (5, 20, 8, 5), (4, 20, 1, None), (np.int64(3), 20, 8, 3)])
 def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
     # a stand-in executor records the thread count it is asked for and
     # runs the trials in the calling thread
@@ -213,7 +223,7 @@ def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(exp, "ThreadPoolExecutor", Recorder)
-    monkeypatch.setattr(exp.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(cores, "core_count", lambda: cpus)
     cfg = small_config(trials=trials)
     outcomes = exp.run_experiment(cfg, workers=workers)
     assert asked == ([threads] if threads else [])  # one thread runs the trials itself
@@ -223,7 +233,7 @@ def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
 @pytest.mark.parametrize("workers", [2.5, "3", None])
 def test_run_experiment_rejects_non_integer_workers(workers, monkeypatch):
     # enough CPUs that min(workers, trials, CPUs) would pass a non-integer count on
-    monkeypatch.setattr(exp.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(cores, "core_count", lambda: 8)
     with pytest.raises(TypeError):
         exp.run_experiment(small_config(trials=4), workers=workers)
 

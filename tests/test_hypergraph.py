@@ -150,6 +150,42 @@ def test_subset_ids_name_the_subsets_on_both_branches(n, k, p, seed, dense, full
     assert degrees.sum() == k * h.edge_count()
 
 
+def _split_cases(n, k):
+    """(boundary, inside): edge sets on ten spread vertices of [0, n) whose
+    sorted index entries, at the split slot kE // 2, begin a new key
+    (boundary) or continue the key of the slot before (inside)."""
+    pool = sorted({0, 1, 2, n // 5, n // 3, n // 2, n - 4, n - 3, n - 2, n - 1})
+    combos = list(itertools.combinations(pool, k))
+    found = {}
+    for seed in itertools.count():
+        keep = np.random.default_rng(seed).random(len(combos)) < 0.5
+        edges = list(itertools.compress(combos, keep))
+        ranks = sorted(hg._lex_rank(n, e[:j] + e[j + 1:]) for e in edges for j in range(k))
+        if len(ranks) >= 2:
+            found.setdefault(ranks[len(ranks) // 2 - 1] != ranks[len(ranks) // 2], edges)
+        if len(found) == 2:
+            return found[True], found[False]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("rank_type", [np.int32, np.int64])
+def test_index_built_in_halves_equals_whole_build(k, rank_type, split_everywhere, monkeypatch):
+    # the smallest n of each rank type; the split slot at a key boundary and inside a key's run
+    n = next(n for n in itertools.count(2 * k + 6) if hg._rank_type(n, k) is rank_type)
+    for edges in _split_cases(n, k):
+        with monkeypatch.context() as whole:
+            whole.setattr(hg.cores, "SPLIT", 1 << 40)
+            expected = Hypergraph(n, k, edges)._build_index()
+        h = Hypergraph(n, k, edges)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype == np.int64
+                   for a, b in zip(h._indexed(), expected))
+        table = oracles.completions_by_enumeration(h.edges, k)
+        assert hg.lex_unrank(n, k - 1, h._keys).tolist() == [list(x) for x in table]
+        offsets = h._offsets.tolist()
+        assert [tuple(h._completions[a:b].tolist()) for a, b in zip(offsets, offsets[1:])] == list(table.values())
+    assert split_everywhere.handed == (0 if split_everywhere.refuse else 4)
+
+
 def test_subset_count_refuses_from_the_int64_rank_cut():
     for r in (1, 2, 3):
         lo, hi = r, 2**32  # bisect to C(lo, r) * lo < 2^63 <= C(hi, r) * hi

@@ -197,6 +197,38 @@ def test_permutations_fall_back_to_scalar_draws(monkeypatch):
         _assert_scalar_rows(keys, drawn, size, 2)
 
 
+@pytest.mark.parametrize("above", [0, 1], ids=["at-limit", "above-limit"])
+def test_permutations_redraw_only_keys_with_a_word_above_the_limit(above, monkeypatch):
+    """A block whose largest word is MASK64 - size keeps every row; one word
+    more redraws the rows of its key, and only those."""
+    unpatched = rng.u64_blocks
+    redraws = []
+
+    def topped(keys, count, start=0):
+        words = unpatched(keys, count, start)
+        words[1, 0] = MASK64 - size + above
+        return words
+
+    class CountingRng(Rng):
+        def __init__(self, key):
+            super().__init__(key)
+            redraws.append(key)
+
+    monkeypatch.setattr(rng, "u64_blocks", topped)
+    monkeypatch.setattr(rng, "Rng", CountingRng)
+    for keys, size in (([9, 10, 11], 50), (list(range(9, 9 + rng._BLOCK_ROWS)), 50)):
+        redraws.clear()
+        drawn = permutations(keys, size, 2)
+        assert redraws == [10] * above
+        kept = [key for key in keys if key != 10 or above]
+        _assert_scalar_rows(kept, drawn[[keys.index(key) for key in kept]], size, 2)
+        if not above:
+            words = unpatched([10], size - 1)[0]
+            words[0] = MASK64 - size
+            swaps = (words % np.arange(size, 1, -1, dtype=np.uint64)).tolist()
+            assert drawn[1, 0].tolist() == rng.apply_swaps(list(range(size)), swaps)
+
+
 def test_choose_distinct_and_in_range():
     picked = Rng(5).choose(100, 10)
     assert len(set(picked)) == 10

@@ -92,6 +92,19 @@ def test_chunk_edges_match_full_block(chunk_of, monkeypatch):
                                   oracles.sample_by_full_block(n, k, p, 3))
 
 
+@pytest.mark.parametrize("chunks", [2, 3, 7])
+def test_split_chunk_runs_match_full_block(chunks, split_everywhere, monkeypatch):
+    # the chunks cut into two runs of chunk starts, the first run half of them
+    for n, k in [(20, 2), (12, 3), (13, 5)]:
+        chunk = -(-math.comb(n, k) // chunks)
+        assert len(range(0, math.comb(n, k), chunk)) == chunks
+        monkeypatch.setattr(sampling, "_CHUNK", chunk)
+        for p in GRID_P:
+            assert np.array_equal(sample_hypergraph(n, k, p, 3).edge_array,
+                                  oracles.sample_by_full_block(n, k, p, 3))
+    assert split_everywhere.handed == (0 if split_everywhere.refuse else 3 * (len(GRID_P) - 1))
+
+
 @pytest.mark.parametrize("p", GRID_P)
 def test_integer_threshold_agrees_with_float_compare_at_boundary(p, monkeypatch):
     # both ends of the last u below ceil(p * 2**53) and of the first u at it
