@@ -236,19 +236,21 @@ def run_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[TrialOutcome
     """All trials, in trial order regardless of scheduling, on at most
     min(workers, trials, CPUs) threads, CPUs being those the process may
     run on (cores.core_count). With one thread the trials run in the caller,
-    and a large sampler draw or index build may lend half its pass to an
-    idle core (cores.both); a pool of more threads holds an idle-core token
-    for each thread beyond the first, so its trials lend only to cores the
-    pool leaves idle. Records are the same on every path."""
+    and a large sampler draw or index build may lend half its pass to the
+    helper thread while it is free (cores.halves). So may the threads of a
+    pool that leaves a CPU idle, one at a time; those of a pool with a
+    thread per CPU never lend (cores.never_lend). Records are the same on
+    every path."""
     cfg.validate()
     workers = operator.index(workers)
     if workers < 1:
         raise ValueError("workers must be at least 1")
     indices = range(cfg.trials)
-    threads = min(workers, cfg.trials, cores.core_count())
+    cpus = cores.core_count()
+    threads = min(workers, cfg.trials, cpus)
     if threads == 1:
         return [run_trial(cfg, t) for t in indices]
-    with cores.holding(threads - 1), ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads, initializer=cores.never_lend if threads >= cpus else None) as pool:
         return list(pool.map(lambda t: run_trial(cfg, t), indices))
 
 

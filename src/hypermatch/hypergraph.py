@@ -9,7 +9,7 @@ ascending completions ``_completions[_offsets[s]:_offsets[s + 1]]``; O(kE)
 memory for any n. It is one sort of rank * n + completion in the narrowest
 integer type that holds it (int32 while C(n, k-1) * n < 2^31, else int64);
 from cores.SPLIT entries on, the passes before and after that sort run in
-halves, one of them on an idle core when there is one (cores.halves). Its
+halves, one of them on the helper thread while it is free (cores.halves). Its
 int64, read-only arrays are published as one tuple, so a thread sees no
 index or all of it, and hypergraphs are safe to share across threads.
 

@@ -5,8 +5,8 @@ one uniform draw on each, so the output is a pure function of
 (n, k, p, seed) and edge-count moments match Bin(C(n, k), p) exactly. It
 draws the words a chunk of ranks at a time and keeps only the hits, so it
 takes O(C(n, k)) words of time but O(E + C(n, k-1)) memory. From
-cores.SPLIT words on, the first half of the chunks is drawn on an idle
-core when there is one (cores.halves); the ranks are the same either way.
+cores.SPLIT words on, the first half of the chunks is drawn on the helper
+thread while it is free (cores.halves); the ranks are the same either way.
 """
 
 from __future__ import annotations

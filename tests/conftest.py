@@ -38,30 +38,30 @@ class _Handing:
     ``refuse``, a pool that fails any test handing it one."""
 
     def __init__(self, pool, refuse):
-        self.pool, self.refuse, self.handed = pool, refuse, 0
+        self.pool, self.refuse, self.handed, self.queued, self.last = pool, refuse, 0, 0, None
 
-    def submit(self, fn):
+    def submit(self, fn, *args):
         if self.refuse:
             raise AssertionError("the helper thread was handed a half")
         self.handed += 1
-        return self.pool.submit(fn)
+        self.queued += self.last is not None and not self.last.done()
+        self.last = self.pool.submit(fn, *args)
+        return self.last
 
 
 @pytest.fixture(params=["helper", "inline"])
 def split_everywhere(request, monkeypatch):
-    """Every pass splits in halves (cores.SPLIT is 0). "helper": one
-    idle-core token is free, so first halves go to the helper thread;
-    "inline": the test holds every token, and the helper is never handed a
-    half. Returns the helper pool's stand-in, which counts the halves."""
+    """Every pass splits in halves (cores.SPLIT is 0), on two CPUs.
+    "helper": the lock is free, so first halves go to the helper thread;
+    "inline": the test holds the lock, so the caller runs both halves and
+    the helper is never handed one. Returns the helper pool's stand-in,
+    which counts the halves."""
     monkeypatch.setattr(cores, "SPLIT", 0)
+    monkeypatch.setattr(cores, "core_count", lambda: 2)
     helper = _Handing(cores._helper, refuse=request.param == "inline")
     monkeypatch.setattr(cores, "_helper", helper)
-    held = 0
-    if request.param == "helper":
-        monkeypatch.setattr(cores, "_idle", threading.Semaphore(1))
-    else:
-        while cores._idle.acquire(blocking=False):
-            held += 1
-    yield helper
-    for _ in range(held):
-        cores._idle.release()
+    lock = threading.Lock()
+    if request.param == "inline":
+        lock.acquire()
+    monkeypatch.setattr(cores, "_lock", lock)
+    return helper

@@ -194,7 +194,7 @@ def test_run_experiment_rejects_nonpositive_workers(workers):
 
 def test_workers_give_equal_records_above_the_split_size():
     # C(120, 3) = 280,840 words and ~250k index entries: one worker may split
-    # both passes, two workers on two cores hold every idle-core token
+    # both passes, the threads of a pool of two only with a third CPU
     cfg = small_config(n=120, p=0.3, epsilon=0.2, trials=3, base_seed=2024)
     assert math.comb(cfg.n, cfg.k) >= cores.SPLIT
     one, two = exp.run_experiment(cfg, workers=1), exp.run_experiment(cfg, workers=2)
@@ -210,8 +210,8 @@ def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
     asked = []
 
     class Recorder:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
+        def __init__(self, max_workers, initializer=None):
+            asked.append((max_workers, initializer))
 
         def __enter__(self):
             return self
@@ -226,7 +226,8 @@ def test_thread_count_is_capped(workers, trials, cpus, threads, monkeypatch):
     monkeypatch.setattr(cores, "core_count", lambda: cpus)
     cfg = small_config(trials=trials)
     outcomes = exp.run_experiment(cfg, workers=workers)
-    assert asked == ([threads] if threads else [])  # one thread runs the trials itself
+    # one thread runs the trials itself; a thread per CPU is marked never to lend
+    assert asked == ([(threads, cores.never_lend if threads == cpus else None)] if threads else [])
     assert exp.records(outcomes) == exp.records(exp.run_experiment(cfg))
 
 
