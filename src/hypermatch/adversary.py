@@ -6,16 +6,17 @@ even number of V1 vertices and |V1| is odd, no perfect matching can survive.
 The greedy budget adversary deletes as many edges as it can, in seeded
 random order, subject to never pushing a touched (k-1)-subset's co-degree
 below a threshold; it stress-tests the matching pipeline near the co-degree
-bound. A subset that reaches the threshold stays there, so the edges through
-it are kept whatever comes later: the scan drops them in bulk between
-chunks of the order and tests one by one only the edges whose subsets were
-all open at the start of their chunk.
+bound. The scan decides a chunk of the order at a time: it keeps in bulk
+the edges through a subset already at the threshold, deletes in bulk the
+edges whose subsets occur in the chunk no more often than their room above
+the threshold, and tests one by one only the rest.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .hypergraph import Hypergraph
 from .rng import Rng, permutations
 
-_SCAN_CHUNK = 256  # fewest edges the greedy scan visits between two drops of closed edges
+_SCAN_CHUNK = 1024  # fewest edges of the scan order in one chunk
 
 
 @dataclass(frozen=True)
@@ -93,13 +94,18 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     """Scan edges in seeded random order, deleting an edge iff every
     (k-1)-subset of it would keep co-degree >= threshold afterwards.
 
-    Co-degrees only fall, so a subset at or below the threshold stays
-    closed, and an edge through a closed subset is kept whenever its turn
-    comes. The scan runs in chunks of a quarter of the pending edges (at
-    least _SCAN_CHUNK); before each chunk one gather drops the pending edges
-    that meet a closed subset, which changes no decision. Each edge left
-    costs one set-disjointness test against the closed subsets, and each
-    deletion k co-degree updates. The result satisfies
+    A subset's room is its co-degree minus the threshold; co-degrees only
+    fall, so a subset with no room stays closed, and an edge through a
+    closed subset is kept whenever its turn comes. The scan order is decided
+    in chunks of max(_SCAN_CHUNK, C/8) edges for C subsets, so that a
+    chunk's O(C) bincounts stay in proportion to it. In each chunk the edges
+    through a closed subset are kept; a subset that the remaining edges meet
+    no more often than its room is cold: at each of its turns it still has
+    room, so an edge whose k subsets are all cold is deleted in bulk. Only
+    the edges through a hot subset are tested one by one, in order, against
+    rooms held in a dict; they alone move a hot subset's room. One bincount
+    of the chunk's deletions then updates the rooms. The result equals the
+    one-edge-at-a-time scan's and satisfies
     min co-degree >= min(input min co-degree, threshold). Order dependent by
     design; parallelize across seeds, not within a run.
 
@@ -111,32 +117,48 @@ def greedy_budget_adversary(hypergraph: Hypergraph, threshold: int, seed: int) -
     threshold, seed = operator.index(threshold), operator.index(seed)
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
-    # the scan is sequential: edges in scan order as the ids of their k
-    # subsets, co-degrees as plain ints in a list, closed subsets in a set
     slots, counts = hypergraph._subset_ids()
-    pending = permutations([Rng(seed).key], len(slots))[0, 0]  # edge ids, in scan order
-    rows = slots[pending]
-    counts = counts.tolist()
-    closed = {x for x, count in enumerate(counts) if count <= threshold}
-    is_open = np.ones(len(counts), dtype=bool)
-    removed = bytearray(len(slots))  # by edge id
-    while len(pending):
-        is_open[np.fromiter(closed, dtype=np.intp, count=len(closed))] = False
-        still_open = is_open[rows[:, 0]]
-        for column in rows.T[1:]:
-            still_open &= is_open[column]
-        pending, rows = pending[still_open], np.compress(still_open, rows, axis=0)
-        size = max(len(pending) // 4, _SCAN_CHUNK)
-        for e, subsets in zip(pending[:size].tolist(), zip(*rows[:size].T.tolist())):
-            if closed.isdisjoint(subsets):
-                for x in subsets:
-                    counts[x] -= 1
-                    if counts[x] == threshold:
-                        closed.add(x)
-                removed[e] = 1
-        pending, rows = pending[size:], rows[size:]
-    deleted = np.frombuffer(removed, dtype=bool)
-    result = Hypergraph._trusted(hypergraph.n, hypergraph.k, hypergraph.edge_array[~deleted])
+    order = permutations([Rng(seed).key], len(slots))[0, 0]  # edge ids, in scan order
+    columns = slots.T[:, order]  # row j: the subset of each edge, in scan order, minus its member j
+    # room[x]: how many more edges through subset x the scan may delete. No
+    # co-degree exceeds E, so a larger threshold leaves no room, as E does
+    room = counts - min(threshold, len(slots))
+    deleted = np.zeros(len(order), dtype=bool)  # by place in the scan order
+    size = max(_SCAN_CHUNK, len(room) // 8)  # a chunk's two bincounts cost O(len(room))
+    for start in range(0, len(order), size):
+        block = columns[:, start:start + size]
+        live, *rest = room.take(block) > 0  # an edge through a closed subset is kept
+        for row in rest:
+            live &= row
+        block = np.compress(live, block, axis=1)
+        # a subset met no more often than its room stays open in this chunk
+        excess = np.bincount(block.reshape(-1), minlength=len(room)) - room
+        hot, *rest = excess.take(block) > 0
+        for row in rest:
+            hot |= row
+        taken = ~hot  # an edge whose subsets are all cold is deleted at its turn
+        picks = np.flatnonzero(hot)
+        if len(picks):
+            # only these edges move a hot subset's room; a cold subset's,
+            # moved here by them alone, stays above 0 at each of its turns
+            subsets = block[:, picks]
+            lists = subsets.tolist()
+            left = dict(zip(chain(*lists), room.take(subsets).reshape(-1).tolist()))
+            picked = []
+            for i, edge in zip(picks.tolist(), zip(*lists)):
+                for x in edge:
+                    if left[x] <= 0:
+                        break
+                else:
+                    for x in edge:
+                        left[x] -= 1
+                    picked.append(i)
+            taken[picked] = True
+        room -= np.bincount(np.compress(taken, block, axis=1).reshape(-1), minlength=len(room))
+        deleted[start:start + size][live] = taken
+    removed = np.empty_like(deleted)  # by edge id
+    removed[order] = deleted
+    result = Hypergraph._trusted(hypergraph.n, hypergraph.k, hypergraph.edge_array[~removed])
     return AdversaryOutcome(
         result=result,
         deleted=len(slots) - result.edge_count(),

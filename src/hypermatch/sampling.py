@@ -304,8 +304,8 @@ def _subset_with_degree(hypergraph: Hypergraph, degree: int) -> Edge:
 
 
 def check_codegree_concentration(hypergraph: Hypergraph, p: float, eps: float) -> ConcentrationReport:
-    if not math.isfinite(eps) or not 0.0 <= p <= 1.0:
-        raise ValueError("eps must be finite and p must lie in [0, 1]")
+    if not 0.0 <= eps < math.inf or not 0.0 <= p <= 1.0:
+        raise ValueError("eps must be nonnegative and finite and p must lie in [0, 1]")
     lower = (1.0 - eps) * hypergraph.n * p
     upper = (1.0 + eps) * hypergraph.n * p
     lo, hi = hypergraph.codegree_extremes()

@@ -172,6 +172,42 @@ def greedy_scan_by_definition(edges, threshold, seed):
     return tuple(e for i, e in enumerate(edges) if i not in removed)
 
 
+def greedy_chunk_situations(edges, threshold, seed, size):
+    """The situations that greedy_scan_by_definition's scan meets when its
+    order is cut into chunks of ``size`` edges. A subset's room is its
+    co-degree minus the threshold at the chunk's start; its occurrences are
+    counted among the chunk's edges with no subset at room <= 0."""
+    degree = {}
+    for e in edges:
+        for sub in itertools.combinations(e, len(e) - 1):
+            degree[sub] = degree.get(sub, 0) + 1
+    room = {sub: d - threshold for sub, d in degree.items()}
+    order = list(range(len(edges)))
+    Rng(seed).shuffle(order)
+    seen = set()
+    for start in range(0, len(order), size):
+        chunk = [list(itertools.combinations(edges[i], len(edges[i]) - 1)) for i in order[start:start + size]]
+        live = [subsets for subsets in chunk if min(room[sub] for sub in subsets) > 0]
+        occurrences = {}
+        for sub in itertools.chain(*live):
+            occurrences[sub] = occurrences.get(sub, 0) + 1
+        at_start = dict(room)
+        hot = [any(occurrences[sub] > room[sub] for sub in subsets) for subsets in live]
+        if live and not any(hot):
+            seen.add("no hot edge")
+        if live and all(hot):
+            seen.add("every edge hot")
+        if any(count == room[sub] + 1 for sub, count in occurrences.items()):
+            seen.add("hot by one")
+        for subsets in live:
+            if min(room[sub] for sub in subsets) > 0:
+                for sub in subsets:
+                    room[sub] -= 1
+        if any(count == at_start[sub] and room[sub] == 0 for sub, count in occurrences.items()):
+            seen.add("cold, closed by its last edge")
+    return seen
+
+
 # -- partite row table -------------------------------------------------------
 
 

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from hypermatch import adversary
 from hypermatch import (
     Hypergraph,
     bruteforce_perfect_matching,
@@ -266,3 +267,72 @@ def test_greedy_deterministic_in_seed():
     assert a.result == b.result and a.deleted == b.deleted
     seen = {greedy_budget_adversary(h, 5, s).result.edges for s in range(8)}
     assert len(seen) > 1  # the scan order really depends on the seed
+
+
+def _graphs_for_k_2_to_5():
+    return [sample_hypergraph(12, 2, 0.5, 4), sample_hypergraph(12, 3, 0.7, 21),
+            sample_hypergraph(10, 4, 0.6, 8), sample_hypergraph(9, 5, 0.6, 3)]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, None])
+def test_greedy_scans_by_definition_in_chunks_of_every_size(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(adversary, "_SCAN_CHUNK", size)
+    graphs = [h for h, _ in _dense_and_sparse_graphs()] + _graphs_for_k_2_to_5()
+    for h in graphs:
+        hi = max(map(len, oracles.completions_by_enumeration(h.edges, h.k).values()))
+        # 2**70 is beyond int64: no co-degree reaches it, so nothing is deleted
+        for threshold in sorted({0, 1, 2, hi // 2, hi - 1, hi, 2**70}):
+            out = assert_scan_by_definition(h, threshold, 5)
+            assert out.deleted == 0 or threshold < hi
+    assert {h.k for h in graphs} == {2, 3, 4, 5}
+
+
+_STAR = [(0, v) for v in range(1, 9)]  # at threshold 0 the centre's room is its 8 edges
+_K6 = list(itertools.combinations(range(6), 2))  # at threshold 1 each vertex has 4 room for 5 edges
+# K_4 on 1..4 and its edges to 0: rooms 3 (vertex 0) and 4 (vertices 1-4) less the threshold
+_STAR_ON_K4 = sorted({(0, v) for v in range(1, 5)} | set(itertools.combinations(range(1, 5), 2)))
+
+
+@pytest.mark.parametrize("n,edges,threshold,size,situations", [
+    (9, _STAR, 0, 8, {"cold, closed by its last edge", "no hot edge"}),
+    (400, _STAR, 0, 8, {"cold, closed by its last edge", "no hot edge"}),  # index positions as ids
+    (6, _K6, 1, 15, {"hot by one", "every edge hot"}),
+    (6, _K6, 1, 7, {"cold, closed by its last edge", "no hot edge", "hot by one", "every edge hot"}),
+    (5, _STAR_ON_K4, 1, 4, {"cold, closed by its last edge", "no hot edge", "hot by one", "every edge hot"}),
+    (5, _STAR_ON_K4, 2, 2, {"cold, closed by its last edge", "no hot edge", "hot by one", "every edge hot"}),
+    (5, _STAR_ON_K4, 2, 7, {"cold, closed by its last edge", "hot by one", "every edge hot"}),
+])
+def test_greedy_chunks_built_for_each_case(monkeypatch, n, edges, threshold, size, situations):
+    monkeypatch.setattr(adversary, "_SCAN_CHUNK", size)
+    h = Hypergraph(n, 2, edges)
+    assert len(h._subset_ids()[1]) // 8 <= size  # the chunk is size edges long
+    assert oracles.greedy_chunk_situations(h.edges, threshold, 3, size) == situations
+    assert_scan_by_definition(h, threshold, 3)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, None])
+def test_greedy_on_the_empty_graph(monkeypatch, size):
+    if size is not None:
+        monkeypatch.setattr(adversary, "_SCAN_CHUNK", size)
+    for n, k in ((6, 3), (400, 2), (9, 5)):
+        for threshold in (0, 2**70):
+            out = greedy_budget_adversary(Hypergraph(n, k, []), threshold, 1)
+            assert out.result.edges == () and out.deleted == 0 and out.residual_min_codegree == 0
+
+
+def test_greedy_scans_by_definition_across_many_default_chunks():
+    # beyond brute-force size: ~84k edges, C(120, 2) = 7,140 subsets, 1,024-edge chunks
+    h = sample_hypergraph(120, 3, 0.3, 4)
+    assert h.edge_count() > 40 * max(adversary._SCAN_CHUNK, math.comb(120, 2) // 8)
+    out = assert_scan_by_definition(h, 13, 11)
+    assert 0 < out.deleted < h.edge_count()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_greedy_on_one_edge_deletes_it_at_threshold_zero_only(k):
+    # each subset's co-degree is E = 1, the largest any threshold is held against
+    h = Hypergraph(k + 1, k, [tuple(range(k))])
+    for threshold in (0, 1, 2, 2**63, 2**70):
+        out = assert_scan_by_definition(h, threshold, 0)
+        assert out.deleted == (threshold == 0)

@@ -509,7 +509,7 @@ def test_concentration_empty_graph():
     assert h.codegree(report.offender) == 0
 
 
-@pytest.mark.parametrize("p, eps", [(math.nan, 0.1), (0.5, math.nan), (0.5, math.inf), (1.5, 0.1), (-0.1, 0.1)])
+@pytest.mark.parametrize("p, eps", [(math.nan, 0.1), (0.5, math.nan), (0.5, math.inf), (1.5, 0.1), (-0.1, 0.1), (0.5, -0.1)])
 def test_concentration_rejects_non_finite_or_bad_density(p, eps):
     with pytest.raises(ValueError):
         check_codegree_concentration(complete(10), p, eps)
