@@ -6,12 +6,12 @@ paths, O(E * sqrt(V))) and is deterministic given the stored adjacency
 order. When no perfect matching exists, a Hall certificate (a set X on one
 side with |N(X)| < |X|) is extracted from alternating-path reachability.
 
-Rows may also be given as int bitmasks (bit v set: adjacent to right vertex
-v). On those, ``_is_perfect`` decides whether a perfect matching exists
+The pi-search holds rows as bits (bit v set: adjacent to right vertex v).
+``_is_perfect`` decides on int bitmasks whether a perfect matching exists
 without building one: a greedy first-free matching, then one bitset
 breadth-first augmenting search per unmatched row, stopping at the first row
-that has none. The pi-search's use of it is described in
-pipeline.find_matching_permutations.
+that has none. ``BipartiteGraph._from_rows`` builds the graph from the same
+rows as little-endian uint64 words (see pipeline.find_matching_permutations).
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 
 class BipartiteGraph:
@@ -49,10 +51,15 @@ class BipartiteGraph:
         return obj
 
     @classmethod
-    def _from_masks(cls, masks: Sequence[int]) -> "BipartiteGraph":
-        """Internal: row i adjacent to v exactly when bit v of masks[i] is set,
-        every bit below len(masks)."""
-        return cls._trusted(len(masks), [_members(mask) for mask in masks])
+    def _from_rows(cls, rows: np.ndarray) -> "BipartiteGraph":
+        """Internal: row i adjacent to v exactly when bit v of rows[i], C-contiguous
+        little-endian uint64 words, is set, every bit below len(rows)."""
+        m = len(rows)
+        bits = np.unpackbits(rows.view(np.uint8), axis=1, count=m, bitorder="little")
+        row, right = np.nonzero(bits)  # row-major, so each row's columns ascend
+        right = right.tolist()  # Python ints, as the checked constructor stores
+        ends = np.bincount(row, minlength=m).cumsum().tolist()
+        return cls._trusted(m, [tuple(right[a:b]) for a, b in zip([0] + ends, ends)])
 
     def edge_count(self) -> int:
         return sum(len(row) for row in self.adjacency)
@@ -91,16 +98,6 @@ class BipartiteGraph:
 
     def __repr__(self) -> str:
         return f"BipartiteGraph(m={self.m}, edges={self.edge_count()})"
-
-
-def _members(mask: int) -> tuple[int, ...]:
-    """Ascending positions of the set bits of a nonnegative int."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(members)
 
 
 def _is_perfect(masks: Sequence[int]) -> bool:

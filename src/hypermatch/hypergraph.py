@@ -399,7 +399,7 @@ class PartiteHypergraph:
         """Minimum over parts i and transversal (k-1)-tuples X of the other
         parts of the number of completions of X inside part i, zeros
         included; every edge is transversal, so that is the co-degree of X."""
-        return self._row_table()[2]
+        return self._row_table()[3]
 
     def _tuple_ranks(self, groups: list[list[int]]) -> list[np.ndarray]:
         """For each list of parts, every edge's part-local rank over them:
@@ -420,14 +420,16 @@ class PartiteHypergraph:
             ranks.append(rank)
         return ranks
 
-    def _row_table(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(position, masks, delta*), built on first use: ``position[v]`` is
-        v's index inside its part, and bit v of the int
-        ``masks[sum_j p_j * m^(k-2-j)]`` (an object array, so one fancy index
-        reads an attempt's m rows) is set exactly when last-part position v
-        completes the transversal tuple with positions p_0..p_{k-2} in parts
-        0..k-2 to an edge. The tuple ranks come from per-vertex weight tables
-        (_tuple_ranks), with each part left out in turn for delta*."""
+    def _row_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """(position, masks, rows, delta*), built on first use: ``position[v]``
+        is v's index inside its part. Entry t = sum_j p_j * m^(k-2-j) of
+        ``rows`` is ceil(m/64) little-endian uint64 words, with bit v set
+        exactly when last-part position v completes the transversal tuple with
+        positions p_0..p_{k-2} in parts 0..k-2 to an edge, for
+        BipartiteGraph._from_rows; ``masks[t]`` is that row joined into one
+        int for bipartite._is_perfect (an object array, so one fancy index
+        reads an attempt's m rows). The tuple ranks come from per-vertex
+        weight tables (_tuple_ranks), with each part left out in turn for delta*."""
         if self._rows is None:
             m, k = self.m, self.k
             position = np.empty(self.n, dtype=np.int64)
@@ -435,16 +437,15 @@ class PartiteHypergraph:
             # tuple ranks with part i left out; their counts are the co-degrees
             *ranks, right = self._tuple_ranks([[j for j in range(k) if j != i] for i in range(k)] + [[k - 1]])
             dstar = min(int(np.bincount(r, minlength=m ** (k - 1)).min()) for r in ranks)
-            # each row as `words` little-endian uint64s; edges are distinct, so
-            # the bits added into one byte are too, and their sum is their OR
+            # edges are distinct, so the bits added into one byte are too, and their sum is their OR
             words = (m + 63) // 64
             packed = np.zeros(m ** (k - 1) * 8 * words, dtype=np.uint8)
             np.add.at(packed, ranks[-1] * (8 * words) + right // 8, (1 << right % 8).astype(np.uint8))
-            table = packed.view("<u8").reshape(-1, words).T
-            masks = table[0].astype(object)  # Python ints, so masks wider than 64 bits join exactly
+            rows = packed.view("<u8").reshape(-1, words)
+            masks = rows[:, 0].astype(object)  # Python ints, so masks wider than 64 bits join exactly
             for w in range(1, words):
-                masks |= table[w].astype(object) << 64 * w
-            self._rows = (position, masks, dstar)
+                masks |= rows[:, w].astype(object) << 64 * w
+            self._rows = (position, masks, rows, dstar)
         return self._rows
 
     def _row_components(self) -> tuple[np.ndarray, np.ndarray]:

@@ -85,9 +85,9 @@ def _validate_family(partite: PartiteHypergraph, family: PermutationFamily) -> N
 def auxiliary_graph(partite: PartiteHypergraph, family: PermutationFamily) -> BipartiteGraph:
     """Bipartite graph between the m permutation rows and the last part."""
     _validate_family(partite, family)
-    position, table, _ = partite._row_table()
+    position, _, rows, _ = partite._row_table()
     [index] = _row_index(partite, position[np.asarray(family.maps)][None])
-    return BipartiteGraph._from_masks(table[index].tolist())
+    return BipartiteGraph._from_rows(rows[index])
 
 
 def _row_index(partite: PartiteHypergraph, local: np.ndarray) -> np.ndarray:
@@ -188,11 +188,12 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     one bincount per block screens the attempts by that graph's components
     (_balanced): an attempt with more rows in a component than the
     component has last-part vertices has no perfect matching. Each attempt
-    left to decide reads only its own m row bitmasks from the row table, by
+    left to decide reads only its own m int row masks from the row table, by
     one fancy index, and the exact bitset test bipartite._is_perfect decides
-    it. Only the winner is built as vertices; Hopcroft-Karp runs once, on
-    the winner, whose matching is translated, or on the last attempt of a
-    failed search, whose maximum matching yields the Hall certificate.
+    it. Only the winner is built as vertices, from its uint64 rows
+    (BipartiteGraph._from_rows); Hopcroft-Karp runs once, on the winner,
+    whose matching is translated, or on the last attempt of a failed search,
+    whose maximum matching yields the Hall certificate.
     """
     budget = operator.index(budget)
     if budget < 1:
@@ -200,27 +201,26 @@ def find_matching_permutations(partite: PartiteHypergraph, budget: int, seed: in
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     shuffles = partite.k - 1 if strategy == STRATEGY_FULL else 1
-    _, table, _ = partite._row_table()
+    _, masks, rows, _ = partite._row_table()
     tried = 0
     for block in _drawn_positions(partite.m, shuffles, seed, budget):
         index = _row_index(partite, block)
         # attempt 1 is decided alone; once it fails, table components screen the rest
         for b in _balanced(partite, index) if tried else range(len(block)):
-            masks = table[index[b]].tolist()
-            if _is_perfect(masks):
-                graph = BipartiteGraph._from_masks(masks)
+            if _is_perfect(masks[index[b]].tolist()):
+                graph = BipartiteGraph._from_rows(rows[index[b]])
                 return PiSearch(
                     success=True, family=_family_at(partite, block[b]), matching=max_matching(graph),
                     attempts=tried + b + 1, min_degree=graph.min_degree())
         tried += len(block)
-    graph = BipartiteGraph._from_masks(table[index[-1]].tolist())  # the last attempt's rows
+    graph = BipartiteGraph._from_rows(rows[index[-1]])  # the last attempt's rows
     return PiSearch(success=False, family=None, matching=None, attempts=budget,
                     certificate=hall_certificate(graph))
 
 
 def partition_tolerance(eps: float) -> float:
-    """Largest alpha with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2."""
-    return eps / (1.0 + 2.0 * eps)
+    """Largest alpha with (1 - alpha) * (1/2 + eps) >= 1/2 + eps/2; 1/2 once 2 * eps overflows."""
+    return 0.5 if 2.0 * eps == math.inf else eps / (1.0 + 2.0 * eps)
 
 
 @dataclass(frozen=True)

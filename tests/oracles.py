@@ -16,7 +16,7 @@ import numpy as np
 
 from hypermatch.bipartite import BipartiteGraph, hall_certificate, max_matching
 from hypermatch.pipeline import STRATEGY_FULL, PermutationFamily, PiSearch
-from hypermatch.rng import Rng, substream
+from hypermatch.rng import MASK64, Rng, substream
 
 
 def complete_edges(n, k):
@@ -401,6 +401,25 @@ def hall_conditions_hold(adjacency):
 def graph_from_bitmask(m, code):
     """Adjacency for the graph whose edge (u, v) is bit u*m+v of code."""
     return [[v for v in range(m) if (code >> (u * m + v)) & 1] for u in range(m)]
+
+
+def rows_of_masks(masks, m):
+    """Int row bitmasks as the (len(masks), ceil(m/64)) little-endian uint64
+    words of the row table."""
+    words = (m + 63) // 64
+    return np.array([[mask >> 64 * w & MASK64 for w in range(words)] for mask in masks],
+                    dtype="<u8").reshape(len(masks), words)
+
+
+def graph_from_rows_bit_by_bit(rows):
+    """The graph whose row i is adjacent to v exactly when bit v of rows[i]
+    is set: each row's little-endian uint64 words joined into one int, whose
+    binary digits are read one at a time."""
+    adjacency = []
+    for row in rows:
+        digits = format(int.from_bytes(np.asarray(row, dtype="<u8").tobytes(), "little"), "b")[::-1]
+        adjacency.append([v for v, digit in enumerate(digits) if digit == "1"])
+    return BipartiteGraph(len(rows), adjacency)
 
 
 # -- exact tails --------------------------------------------------------------

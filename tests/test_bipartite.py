@@ -17,7 +17,7 @@ from hypermatch import (
     sample_hypergraph,
 )
 from hypermatch.bipartite import _is_perfect
-from hypermatch.rng import substream
+from hypermatch.rng import MASK64, substream
 
 import oracles
 
@@ -35,6 +35,8 @@ def test_graph_rejects_bad_shape():
         BipartiteGraph(2, [[0]])
     with pytest.raises(ValueError):
         BipartiteGraph(2, [[0], [2]])
+    with pytest.raises(ValueError, match="nonnegative"):
+        BipartiteGraph(-1, [])
 
 
 @pytest.mark.parametrize("row", [[1.9], [0.2], ["1"]])
@@ -69,6 +71,35 @@ def test_matching_complete():
         assert v in g.adjacency[u]
 
 
+def test_hall_certificate_does_not_depend_on_the_maximum_matching():
+    """The rows that alternating paths reach from unmatched rows, and the
+    columns from unmatched columns, are the same for every maximum matching
+    (Dulmage-Mendelsohn), so the certificate is a function of the graph. The
+    other matching is networkx's Hopcroft-Karp on a copy with shuffled rows,
+    columns and edges."""
+    nx = pytest.importorskip("networkx")
+    checked = moved = 0
+    for seed in range(1000):
+        draw = np.random.default_rng(seed)
+        m = int(draw.integers(2, 30))
+        g = oracles.random_bipartite(m, min(1.0, draw.uniform(0.5, 2.0) * math.log(m) / m), substream(91, seed))
+        ours = max_matching(g)
+        if ours.is_perfect():
+            continue
+        copy = nx.Graph()
+        copy.add_nodes_from(("row", u) for u in draw.permutation(m).tolist())
+        copy.add_nodes_from(("col", v) for v in draw.permutation(m).tolist())
+        edges = [(("row", u), ("col", v)) for u in range(m) for v in g.adjacency[u]]
+        copy.add_edges_from(edges[i] for i in draw.permutation(len(edges)).tolist())
+        found = nx.bipartite.hopcroft_karp_matching(copy, top_nodes=[("row", u) for u in range(m)])
+        other = BipartiteMatching(tuple(found.get(("row", u), (None, -1))[1] for u in range(m)))
+        assert other.size == ours.size
+        assert hall_certificate(g, other) == hall_certificate(g)
+        checked += 1
+        moved += other != ours
+    assert checked > 400 and moved > 300
+
+
 def test_matching_bottleneck():
     g = BipartiteGraph(2, [[0], [0]])
     assert max_matching(g).size == 1
@@ -78,6 +109,7 @@ def test_matching_empty():
     g = BipartiteGraph(3, [[], [], []])
     assert max_matching(g).size == 0
     assert max_matching(BipartiteGraph(0, [])).is_perfect()
+    assert BipartiteGraph(0, []).min_degree() == 0
 
 
 def test_matching_deterministic():
@@ -259,7 +291,7 @@ def _deficient_bipartite(m, degree, seed):
 
 def _assert_decision_agrees(graph):
     masks = _masks(graph)
-    assert BipartiteGraph._from_masks(masks) == graph
+    assert BipartiteGraph._from_rows(oracles.rows_of_masks(masks, graph.m)) == graph
     perfect = max_matching(graph).is_perfect()
     assert _is_perfect(masks) == perfect
     return perfect
@@ -294,7 +326,26 @@ def test_bitset_decision_on_parity_auxiliary_graphs(n, k):
     """Parity residuals never match; their auxiliary graphs mostly miss by one row."""
     h = parity_adversary(sample_hypergraph(n, k, 0.5, n)).result
     hp = induce_partite(h, sample_balanced_partition(n, k, 1))
-    table = hp._row_table()[1]
+    _, masks, rows, _ = hp._row_table()
     for block in pipeline._drawn_positions(hp.m, k - 1, 5, 150):
         for index in pipeline._row_index(hp, block):
-            _assert_decision_agrees(BipartiteGraph._from_masks(table[index].tolist()))
+            graph = BipartiteGraph._from_rows(rows[index])
+            assert _masks(graph) == masks[index].tolist()
+            _assert_decision_agrees(graph)
+
+
+@pytest.mark.parametrize("m", [1, 63, 64, 65, 2000])
+def test_rows_decode_as_the_bit_by_bit_reference(m):
+    """Rows of uint64 words, every bit below m: empty, full, random, and
+    the three mixed row by row."""
+    words = (m + 63) // 64
+    below = np.array([MASK64] * (words - 1) + [(1 << m - 64 * (words - 1)) - 1], dtype="<u8")
+    full = np.tile(below, (m, 1))
+    random = np.frombuffer(np.random.default_rng(m).bytes(m * 8 * words), dtype="<u8").reshape(m, words) & below
+    mixed = random.copy()
+    mixed[::3], mixed[1::3] = 0, below
+    for rows in (np.zeros_like(full), full, random, mixed):
+        graph = BipartiteGraph._from_rows(rows)
+        assert graph == oracles.graph_from_rows_bit_by_bit(rows)
+        assert all(type(v) is int for row in graph.adjacency for v in row)
+    assert BipartiteGraph._from_rows(full).edge_count() == m * m

@@ -79,6 +79,9 @@ def test_binomial_bound_rejects_bad_arguments():
         binomial_tail_bound(-1, 0.5, 2)
     with pytest.raises(ValueError):
         binomial_tail_bound(10, 1.5, 2)
+    for trials, q in ((-1, 0.5), (10, 1.5), (10, -0.1)):
+        with pytest.raises(ValueError, match="trials >= 0 and q in"):
+            binomial_upper_tail(trials, q, 2)
 
 
 @pytest.mark.parametrize("bad", [2.5, 10.0, "3"])

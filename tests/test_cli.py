@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hypermatch import Hypergraph, check_perfect_matching, sample_hypergraph
+from hypermatch import Hypergraph, check_perfect_matching, greedy_budget_adversary, sample_hypergraph
 from hypermatch.cli import main
 from hypermatch.fileio import read_hypergraph, write_hypergraph
 
@@ -57,6 +57,20 @@ def test_adversary_greedy_requires_threshold(tmp_path, capsys):
     code, _, err = run_cli(capsys, "adversary", "--in", str(src), "--mode", "greedy",
                            "--out", str(tmp_path / "o.txt"))
     assert code == 1 and "threshold" in err
+
+
+def test_adversary_greedy_with_threshold(tmp_path, capsys):
+    src = tmp_path / "h.txt"
+    dst = tmp_path / "out.txt"
+    h = Hypergraph(6, 3, oracles.complete_edges(6, 3))
+    write_hypergraph(src, h)
+    code, stdout, _ = run_cli(capsys, "adversary", "--in", str(src), "--mode", "greedy",
+                              "--threshold", "2", "--seed", "4", "--out", str(dst))
+    assert code == 0
+    payload = json.loads(stdout)
+    expected = greedy_budget_adversary(h, 2, 4).result
+    assert read_hypergraph(dst) == expected
+    assert payload["edges_before"] == 20 and payload["edges_after"] == expected.edge_count() < 20
 
 
 def test_pipeline_success_writes_matching(tmp_path, capsys):
@@ -209,6 +223,18 @@ def test_experiment_flags_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("trial,seed,n,k,p")
     assert len(lines) == 3
+
+
+def test_experiment_flags_json(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    code, stdout, _ = run_cli(capsys, "experiment", "--n", "6", "--k", "3", "--p", "1.0",
+                              "--epsilon", "0.1", "--trials", "2", "--seed", "5",
+                              "--out", str(out), "--format", "json")
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert set(payload) == {"config", "records", "summary"}
+    assert len(payload["records"]) == 2
+    assert payload["summary"] == json.loads(stdout)["summary"]
 
 
 def test_experiment_config_file_and_determinism(tmp_path, capsys):

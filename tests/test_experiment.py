@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import hypermatch.experiment as exp
-from hypermatch import check_perfect_matching, cores
+from hypermatch import BipartiteGraph, check_perfect_matching, cores, pipeline
 from hypermatch.rng import substream
+
+import oracles
 
 
 def small_config(**overrides):
@@ -36,6 +38,11 @@ def test_validation_rejects_bad_configs():
         small_config(epsilon=-0.1).validate()
     with pytest.raises(ValueError):
         small_config(strategy="sideways").validate()
+    for field in ("partition_retries", "pi_budget"):
+        with pytest.raises(ValueError, match="at least 1"):
+            small_config(**{field: 0}).validate()
+    with pytest.raises(ValueError, match="nonnegative"):
+        small_config(adversary="greedy", greedy_threshold=-1).validate()
     for epsilon in (math.inf, math.nan):  # rejected before the threshold is derived from it
         for threshold in (None, 3):
             with pytest.raises(ValueError, match="epsilon"):
@@ -262,6 +269,17 @@ def test_csv_rejects_cells_of_the_wrong_type(tmp_path, column, cell):
         exp.read_records_csv(path)
 
 
+def test_csv_rejects_a_wrong_header_and_a_short_row(tmp_path):
+    header, row = exp.records_to_csv(exp.records(exp.run_experiment(small_config(trials=1)))).splitlines()
+    path = tmp_path / "bad.csv"
+    path.write_text(header.replace("trial", "run", 1) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match="bad.csv: unexpected CSV header"):
+        exp.read_records_csv(path)
+    path.write_text(header + "\n" + row.rsplit(",", 1)[0] + "\n")
+    with pytest.raises(ValueError, match=f"bad.csv: row with {len(exp.CSV_COLUMNS) - 1} cells"):
+        exp.read_records_csv(path)
+
+
 def test_csv_byte_identical_across_runs(tmp_path):
     cfg = small_config(n=12, p=0.8, trials=5, adversary="parity")
     a = exp.records_to_csv(exp.records(exp.run_experiment(cfg)))
@@ -342,6 +360,27 @@ def test_benchmark_outcomes_pinned(name):
     cfg, outcomes = _bench_pinned_outcomes(name)
     json_text = exp.outcomes_to_json(cfg, outcomes)
     assert hashlib.sha256(json_text.encode("utf-8")).hexdigest() == BENCH_PINNED_JSON_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_WORKLOADS.WORKLOADS))
+def test_decided_benchmark_attempts_decode_as_the_bit_by_bit_reference(name, monkeypatch):
+    """Every attempt the pi-search decides in the benchmark's first trials,
+    as the row table's uint64 words, decodes to the graph the per-bit
+    reference reads from them."""
+    decided, decide = [], pipeline._is_perfect
+
+    def recording(masks):
+        decided.append(masks)
+        return decide(masks)
+
+    monkeypatch.setattr(pipeline, "_is_perfect", recording)
+    cfg = BENCH_WORKLOADS.config(name, BENCH_WORKLOADS.DEFAULT_SEED)
+    for trial in range(BENCH_WORKLOADS.PINNED_TRIALS):
+        exp.run_trial(cfg, trial)
+    assert len(decided) >= BENCH_WORKLOADS.PINNED_TRIALS
+    for masks in decided:
+        rows = oracles.rows_of_masks(masks, len(masks))
+        assert BipartiteGraph._from_rows(rows) == oracles.graph_from_rows_bit_by_bit(rows)
 
 
 def test_timing_flag_populates_runtime(tmp_path):

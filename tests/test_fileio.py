@@ -92,6 +92,9 @@ def test_matrix_malformed(tmp_path):
     path.write_text("2\n10\n12\n")
     with pytest.raises(FormatError):
         read_extension_matrix(path)
+    path.write_text("3\n010\n001\n")
+    with pytest.raises(FormatError, match="expected 3 matrix rows, got 2"):
+        read_extension_matrix(path)
 
 
 def test_matching_round_trip(tmp_path):

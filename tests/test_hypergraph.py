@@ -302,6 +302,16 @@ def test_balanced_partition_validation():
         BalancedPartition([(0, 1), (2,)])
     with pytest.raises(ValueError):
         BalancedPartition([(0, 1), (2, 9)])
+    with pytest.raises(ValueError, match="at least one part"):
+        BalancedPartition([])
+
+
+@pytest.mark.parametrize("build", [induce_partite, hg.PartiteHypergraph])
+def test_partition_of_another_shape_is_rejected(build):
+    with pytest.raises(ValueError, match="disagree on n"):
+        build(complete(6), BalancedPartition([(0, 1), (2, 3)]))
+    with pytest.raises(ValueError, match="exactly k parts"):
+        build(complete(6), BalancedPartition([(0, 1, 2), (3, 4, 5)]))
 
 
 def test_induce_complete_k6():
@@ -547,10 +557,11 @@ ROW_TABLE_CASES = [(k, m, kind) for k, m in ROW_TABLE_SIZES for kind in ROW_TABL
 @pytest.mark.parametrize("k,m,kind", ROW_TABLE_CASES, ids=[f"k{k}-m{m}-{kind}" for k, m, kind in ROW_TABLE_CASES])
 def test_row_table_and_screen_equal_the_part_columns_construction(k, m, kind, monkeypatch):
     hp = ROW_TABLE_KINDS[kind](k, m, k * m)
-    position, masks, dstar = hp._row_table()
+    position, masks, rows, dstar = hp._row_table()
     expected = oracles.row_table_by_part_columns(hp)
     assert np.array_equal(position, expected[0])
     assert masks.tolist() == expected[1]
+    assert np.array_equal(rows, oracles.rows_of_masks(expected[1], m))
     assert dstar == expected[2]
     if m ** k <= 5000:  # the scan tries every vertex for every transversal tuple
         assert dstar == oracles.min_transversal_codegree_scan(hp.parts, map(tuple, hp.edge_array.tolist()))

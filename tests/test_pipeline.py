@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypermatch import (
     STRATEGY_PI1,
     BalancedPartition,
     Hypergraph,
+    MatchingCheck,
     PermutationFamily,
     PipelineConfig,
     auxiliary_graph,
@@ -491,6 +493,9 @@ def test_alpha_derivation():
         alpha = partition_tolerance(eps)
         # the defining inequality holds with equality
         assert (1 - alpha) * (0.5 + eps) == pytest.approx(0.5 + eps / 2)
+    # the quotient rounds to 1/2 from eps ~ 2**53; past 8.98846567431157e307, 2 * eps overflows
+    for eps in (1e17, 8.98846567431157e307, 8.98846567431158e307, 1e308, sys.float_info.max):
+        assert partition_tolerance(eps) == 0.5
 
 
 def test_pipeline_complete_k6():
@@ -499,6 +504,15 @@ def test_pipeline_complete_k6():
     assert check_perfect_matching(complete(6), outcome.matching).ok
     assert outcome.failure_stage is None
     assert outcome.alpha == pytest.approx(0.1 / 1.2)
+
+
+def test_pipeline_reports_a_rejected_matching_as_a_verification_failure(monkeypatch):
+    rejected = MatchingCheck(False, "uncovered", (0,))
+    monkeypatch.setattr(pipeline, "check_perfect_matching", lambda hypergraph, edges: rejected)
+    outcome = find_perfect_matching(complete(6), 0.1, seed=4)
+    assert outcome.matching is None and not outcome.matched and not outcome.verified
+    assert outcome.failure_stage == "verification" and outcome.check is rejected
+    assert outcome.certificate is None
 
 
 def test_pipeline_parity_input_fails_with_certificate():

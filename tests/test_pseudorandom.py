@@ -37,10 +37,11 @@ def definition_oracle(graph, eps, p):
 
 
 def test_complete_graph_is_pseudorandom():
-    for m in (4, 8, 10):
+    for m in (0, 4, 8, 10):
         g = BipartiteGraph(m, [list(range(m))] * m)
-        verdict = is_pseudorandom(g, 0.25, 1.0)
-        assert verdict.pseudorandom and verdict.failed_property is None
+        for mode in ("exact", "sampled"):
+            verdict = is_pseudorandom(g, 0.25, 1.0, mode, seed=3, trials=20)
+            assert verdict.pseudorandom and verdict.failed_property is None and verdict.mode == mode
 
 
 def test_empty_graph_fails_degree():

@@ -52,6 +52,12 @@ def test_rejects_bad_probability():
         sample_hypergraph(10, 3, -0.1, 0)
 
 
+@pytest.mark.parametrize("n,k", [(10, 1), (10, 0), (2, 3)])
+def test_rejects_bad_sizes(n, k):
+    with pytest.raises(ValueError, match="n >= k >= 2"):
+        sample_hypergraph(n, k, 0.5, 0)
+
+
 def test_mean_edge_count_binomial():
     # E = C(10,3) * 0.5 = 60, sigma = sqrt(120 * 0.25); 3 standard errors over 1000 seeds
     mean = sum(len(sample_hypergraph(10, 3, 0.5, s).edges) for s in range(1000)) / 1000
