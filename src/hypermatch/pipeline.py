@@ -8,11 +8,13 @@ b. draws the balanced partitions of the retries as part-label blocks, 32
    retries from one rng.permutations call, and keeps the first whose
    co-degree split passes at alpha, else the first of least worst deviation
    (small instances rarely pass; matching success decides).
-   sampling.choose_partition bounds each retry on the lowest-degree keys in
-   packed words of k-1 fields per retry (the last part's count is the
-   co-degree minus the others'), and counts every key only for the few
-   retries that can still pass or win, as many in one pass as a word holds;
-   only the winner is built as a partition;
+   Up to n = 64, sampling.choose_partition scores every retry on every key
+   from 64-bit vertex sets, one popcount per (key, part). Beyond, it bounds
+   each retry on the lowest-degree keys in packed words of k-1 fields per
+   retry (the last part's count is the co-degree minus the others'), and
+   counts every key only for the few retries that can still pass or win,
+   as many in one pass as a word holds. Only the winner is built as a
+   partition;
 c. induces the k-partite restriction H' and records its minimum transversal
    co-degree, counted in the pass that builds the row bitmasks of step d
    from per-vertex weight tables;

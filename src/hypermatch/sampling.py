@@ -23,7 +23,8 @@ from .hypergraph import BalancedPartition, Edge, Hypergraph, _subset_count, lex_
 from .rng import Rng, permutations, substreams, u64_blocks
 
 _CHUNK = 1 << 16  # ranks whose words the sampler draws and compares at once
-_RETRY_CHUNK = 32  # partition retries drawn and bounded on the probe keys at once
+_RETRY_CHUNK = 32  # partition retries drawn and scored (or bounded on the probe keys) at once
+_WORD_BUDGET = 1 << 15  # elements of the word path's largest count block
 
 
 def sample_hypergraph(n: int, k: int, p: float, seed: int) -> Hypergraph:
@@ -201,6 +202,50 @@ def _partition_labels(n: int, k: int, seed: int, count: int) -> Iterator[np.ndar
                                                      dtype=np.uint64)), n, k)
 
 
+def _completion_words(completions: np.ndarray, offsets: np.ndarray,
+                      k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The keys ordered by co-degree, cut into runs of at most _WORD_BUDGET // k
+    keys, as (members, starts, degrees) per run: members[s] is the uint64 set
+    of key s's completions, and the run's degree classes begin at positions
+    ``starts``, of co-degrees ``degrees``. Needs n <= 64."""
+    co_degrees = np.diff(offsets)
+    order = np.argsort(co_degrees, kind="stable")
+    bits = completions.astype(np.uint64)
+    members = np.bitwise_or.reduceat(np.left_shift(np.uint64(1), bits, out=bits), offsets[:-1])[order]
+    co_degrees, width = co_degrees[order], max(1, _WORD_BUDGET // k)
+    runs = []
+    for lo in range(0, len(members), width):
+        run = co_degrees[lo:lo + width]
+        starts = np.flatnonzero(np.r_[True, run[1:] != run[:-1]])
+        runs.append((members[lo:lo + width], starts, run[starts]))
+    return runs
+
+
+def _word_deviations(runs: list[tuple[np.ndarray, np.ndarray, np.ndarray]], labels: np.ndarray,
+                     k: int) -> list[float]:
+    """Each label row's worst deviation over the keys of _completion_words'
+    runs, 0.0 without keys. A (row, part) side is one uint64 vertex set,
+    and its counts are the popcounts of its intersections with the members.
+    For fixed co-degree d, the float64 |c*k/d - 1| falls and then rises in c
+    (a rounded divide and subtract are monotone), so a degree class's worst
+    is at its least or largest count, and only those go through _deviations:
+    the packed path's value, bit for bit. Each run scores the rows in groups
+    of at most _WORD_BUDGET counts."""
+    bits = np.uint64(1) << np.arange(labels.shape[1], dtype=np.uint64)
+    sides = np.where(labels[:, None] == np.arange(k)[:, None], bits, np.uint64(0))
+    sides = sides.sum(axis=2, dtype=np.uint64)  # sums of distinct bits: the unions
+    worst = np.zeros(len(labels))
+    for members, starts, degrees in runs:
+        rows = max(1, _WORD_BUDGET // (k * len(members)))
+        for lo in range(0, len(labels), rows):
+            counts = np.bitwise_count(sides[lo:lo + rows, :, None] & members)
+            extremes = np.concatenate([np.maximum.reduceat(counts, starts, axis=2),
+                                       np.minimum.reduceat(counts, starts, axis=2)], axis=1)
+            group = worst[lo:lo + rows]  # int64 counts: uint8 ones times k would wrap
+            np.maximum(group, _deviations(degrees, extremes.astype(np.int64), k).max(axis=(1, 2)), out=group)
+    return worst.tolist()
+
+
 def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
                      alpha: float) -> tuple[BalancedPartition, float, int]:
     """(partition, deviation, attempts) of the retry rule over candidates
@@ -210,7 +255,9 @@ def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
     the first candidate within alpha, after ``attempts`` candidates, else
     the first of least deviation, after all.
 
-    An exact branch and bound, a block at a time, whose worst deviations
+    Up to n = 64, where numpy has ``bitwise_count``, every candidate is
+    scored on every key from 64-bit vertex sets (_word_deviations). Beyond,
+    an exact branch and bound, a block at a time, whose worst deviations
     over the probe keys (_probe) are scored in packed words. That is a max
     over a subset of the keys, so a lower bound on the deviation, and its
     key of the same form a lower bound on the candidate's key. Candidates
@@ -222,23 +269,33 @@ def choose_partition(hypergraph: Hypergraph, blocks: Iterable[np.ndarray],
     """
     n, k = hypergraph.n, hypergraph.k
     full = (hypergraph._completions, hypergraph._offsets)
-    probe = _probe(*full)
-    per_pass = _packing(hypergraph._degrees(), k)[1]
 
     def key(deviation, attempt):
         return (deviation > alpha, deviation if deviation > alpha else 0.0, attempt)
+
+    if n <= 64 and hasattr(np, "bitwise_count"):
+        runs = _completion_words(*full, k)
+
+        def scored(labels):  # (row, deviation) of every row
+            return enumerate(_word_deviations(runs, labels, k))
+    else:
+        probe = _probe(*full)
+        per_pass = _packing(hypergraph._degrees(), k)[1]
+
+        def scored(labels):  # (row, deviation) of the rows that may still win, as best falls
+            bounds = sorted(key(b, taken + i) for i, b in enumerate(_worst_deviations(*probe, labels, k)))
+            while bounds and bounds[0] < best:
+                rows = [bound[2] - taken for bound in bounds[:per_pass] if bound < best]
+                del bounds[:len(rows)]
+                yield from zip(rows, _worst_deviations(*full, labels[rows], k))
 
     best, deviation, winner, taken = key(math.inf, 0), math.inf, None, 0
     for labels in blocks:
         if labels.shape[1:] != (n,):
             raise ValueError("partition does not match the hypergraph")
-        bounds = sorted(key(b, taken + i) for i, b in enumerate(_worst_deviations(*probe, labels, k)))
-        while bounds and bounds[0] < best:
-            rows = [bound[2] - taken for bound in bounds[:per_pass] if bound < best]
-            del bounds[:len(rows)]
-            for row, scored in zip(rows, _worst_deviations(*full, labels[rows], k)):
-                if (found := key(scored, taken + row)) < best:
-                    best, deviation, winner = found, scored, labels[row]
+        for row, worst in scored(labels):
+            if (found := key(worst, taken + row)) < best:
+                best, deviation, winner = found, worst, labels[row]
         taken += len(labels)
         if not best[0]:
             break

@@ -2,6 +2,7 @@ import os
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from hypermatch import cores, pipeline, sampling
@@ -11,9 +12,11 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture
 def partition_work(monkeypatch):
-    """(drawn, passes): the candidate label rows pipeline.choose_partition
-    draws, and per call the passes it scores on every key, each pass a list
-    of its label rows as bytes."""
+    """(drawn, passes) on the packed path, which it forces at every n: the
+    candidate label rows pipeline.choose_partition draws, and per call the
+    passes it scores on every key, each pass a list of its label rows as
+    bytes."""
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
     choose, worst = pipeline.choose_partition, sampling._worst_deviations
     drawn, passes = [], []
 
@@ -31,6 +34,28 @@ def partition_work(monkeypatch):
 
     monkeypatch.setattr(pipeline, "choose_partition", counted)
     return drawn, passes
+
+
+@pytest.fixture
+def word_work(monkeypatch):
+    """(drawn, scored) on the word path, n <= 64: the candidate label rows
+    pipeline.choose_partition draws, and the label rows
+    sampling._word_deviations scores, in order, as bytes."""
+    if not hasattr(np, "bitwise_count"):
+        pytest.skip("numpy without bitwise_count has no word path")
+    choose, deviations = pipeline.choose_partition, sampling._word_deviations
+    drawn, scored = [], []
+
+    def scoring(runs, labels, k):
+        scored.extend(row.tobytes() for row in labels)
+        return deviations(runs, labels, k)
+
+    def counted(hypergraph, blocks, alpha):
+        return choose(hypergraph, (drawn.extend(row.tobytes() for row in block) or block for block in blocks), alpha)
+
+    monkeypatch.setattr(sampling, "_word_deviations", scoring)
+    monkeypatch.setattr(pipeline, "choose_partition", counted)
+    return drawn, scored
 
 
 class _Handing:

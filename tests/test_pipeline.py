@@ -601,6 +601,17 @@ def test_partition_search_work_on_benchmark_graphs(partition_work, fields, trial
     assert [len(scored) for scored in passes] == full_passes
 
 
+def test_word_path_scores_every_retry_once_on_the_greedy_benchmark(word_work):
+    # n = 60: no retry passes at seed 2024, so all 50 are drawn, and each
+    # is scored on every key exactly once, in the order drawn
+    drawn, scored = word_work
+    cfg = ExperimentConfig(n=60, k=3, p=0.5, epsilon=0.2, adversary="greedy", partition_retries=50,
+                           pi_budget=200, trials=10, base_seed=2024, strategy=STRATEGY_FULL)
+    for trial in range(cfg.trials):
+        assert not run_trial(cfg, trial).partition_passed
+    assert len(drawn) == cfg.trials * cfg.partition_retries and scored == drawn
+
+
 def test_pipeline_deterministic():
     h = sample_hypergraph(12, 3, 0.7, 40)
     a = find_perfect_matching(h, 0.2, seed=11)

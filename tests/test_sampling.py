@@ -497,6 +497,134 @@ def test_choose_partition_rejects_no_candidates_and_mismatched_ones():
         partition_worst_deviation(h, sample_balanced_partition(12, 4, 0))
 
 
+# -- the word path (n <= 64) against the packed path --------------------------
+
+# (k, n, p): n = 64 uses bit 63 of the vertex sets; at p = 1 every key has
+# co-degree n - k + 1, one degree class; p = 0 is the empty hypergraph
+WORD_CASES = [(k, n, p) for k, sizes in [(2, (64, 64, 64, 64)), (3, (63, 63, 63, 63)),
+                                         (4, (64, 64, 32, 32)), (5, (60, 30, 30, 20))]
+              for n, p in zip(sizes, (0.0, 0.05, 0.5, 1.0))]
+
+
+def _word_graph(k, n, p):
+    return Hypergraph(n, k, []) if p == 0 else sample_hypergraph(n, k, p, 100 * k + n)
+
+
+def _choose_on_both_paths(h, candidates, alpha, monkeypatch):
+    """choose_partition on the word path (where numpy has bitwise_count) and
+    on the forced packed path; the two must agree exactly."""
+    word_scored = []
+    deviations = sampling._word_deviations
+    monkeypatch.setattr(sampling, "_word_deviations",
+                        lambda runs, labels, k: word_scored.append(len(labels)) or deviations(runs, labels, k))
+    word = choose_partition(h, _blocks(candidates), alpha)
+    assert bool(word_scored) == hasattr(np, "bitwise_count")
+    with monkeypatch.context() as packed_only:
+        packed_only.delattr(np, "bitwise_count", raising=False)
+        packed = choose_partition(h, _blocks(candidates), alpha)
+    assert word == packed and word[0].assignment == packed[0].assignment
+    return word
+
+
+@pytest.mark.parametrize("alpha", ["zero", "at-a-candidate", "between-two"])
+@pytest.mark.parametrize("k,n,p", WORD_CASES, ids=[f"k{k}-n{n}-p{p}" for k, n, p in WORD_CASES])
+def test_word_path_matches_packed_path(k, n, p, alpha, monkeypatch):
+    h = _word_graph(k, n, p)
+    if p == 1.0:
+        assert len(set(h._degrees().tolist())) == 1
+    candidates = _candidates(h, 70, k + n)
+    deviations = sampling._worst_deviations(h._completions, h._offsets, _labels(candidates), k)
+    if p == 0:
+        assert set(deviations) == {0.0}
+    levels = sorted(set(deviations))
+    if alpha == "zero":
+        value = 0.0
+    elif alpha == "at-a-candidate":  # the boundary passes
+        value = levels[len(levels) // 2]
+    else:
+        value = (levels[len(levels) // 2 - 1] + levels[len(levels) // 2]) / 2 if len(levels) > 1 else 0.5
+    partition, deviation, attempts = _choose_on_both_paths(h, candidates, value, monkeypatch)
+    expected = oracles.retry_loop_one_at_a_time(list(zip(deviations, candidates)), value)
+    assert (attempts, deviation, partition) == (expected[0], expected[2], expected[3])
+
+
+@pytest.mark.parametrize("attempt", [1, 32, 33, None])
+@pytest.mark.parametrize("k,n,p", [(2, 64, 0.5), (3, 63, 0.5), (4, 28, 0.9)])
+def test_word_path_passes_where_packed_path_does(k, n, p, attempt, monkeypatch):
+    # the least deviation moved to retry 1, to either side of the first
+    # block's end, or alpha below it, so that no retry passes
+    h = _word_graph(k, n, p)
+    candidates = _candidates(h, 70, 7)
+    deviations = sampling._worst_deviations(h._completions, h._offsets, _labels(candidates), k)
+    least = min(deviations)
+    assert deviations.count(least) == 1
+    if attempt is not None:
+        candidates.insert(attempt - 1, candidates.pop(deviations.index(least)))
+    partition, deviation, attempts = _choose_on_both_paths(h, candidates, least / (1 if attempt else 2), monkeypatch)
+    assert (deviation, attempts) == (least, attempt or 70)
+    assert partition == candidates[attempt - 1 if attempt else deviations.index(least)]
+
+
+def test_n_above_64_takes_the_packed_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the word path ran at n = 65")
+
+    monkeypatch.setattr(sampling, "_completion_words", refuse)
+    monkeypatch.setattr(sampling, "_word_deviations", refuse)
+    h = Hypergraph(65, 5, sorted({tuple(sorted((i + d) % 65 for d in steps))
+                                  for i in range(65) for steps in ((0, 1, 2, 3, 4), (0, 2, 5, 9, 14))}))
+    candidates = _candidates(h, 40, 8)
+    _assert_choice_matches_loop(h, candidates, 0.0)
+
+
+@pytest.mark.parametrize("attempt", [1, 12, 31, 32, 33, 70, None])
+def test_word_path_scores_each_drawn_candidate_once(attempt, word_work):
+    # blocks hold 32 candidates: no block past the pass is drawn, and every
+    # drawn candidate is scored on every key exactly once
+    h = sample_hypergraph(30, 3, 0.5, 7)
+    candidates = _candidates(h, 80, 13)
+    deviations = [partition_worst_deviation(h, c) for c in candidates]
+    if attempt is not None:
+        candidates.insert(attempt - 1, candidates.pop(deviations.index(min(deviations))))
+    drawn, scored = word_work
+    outcome = pipeline.choose_partition(h, _blocks(candidates), min(deviations) / (1 if attempt else 2))
+    chunk = sampling._RETRY_CHUNK
+    assert outcome[2] == (attempt or 80)
+    assert drawn == [row.tobytes() for row in _labels(candidates[:min(80, -(-(attempt or 80) // chunk) * chunk)])]
+    assert scored == drawn
+
+
+@pytest.mark.skipif(not hasattr(np, "bitwise_count"), reason="numpy without bitwise_count has no word path")
+def test_word_path_scoring_stays_within_the_element_budget(monkeypatch):
+    # k = 4, n = 60: all C(60, 3) = 34,220 keys. One (32 * 4) x keys block of
+    # uint8 counts would take 4.4 MB, one row's 4 x keys uint64 sets 1.1 MB
+    h = sample_hypergraph(60, 4, 0.5, 5)
+    keys, budget = len(h._keys), sampling._WORD_BUDGET
+    assert keys == math.comb(60, 3)
+    blocks = list(sampling._partition_labels(60, 4, 3, 32))
+    build, held = sampling._completion_words, []
+
+    def build_then_reset(*args):
+        runs = build(*args)
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return runs
+
+    tracemalloc.start()
+    try:
+        choose_partition(h, blocks, 0.0)
+        whole = tracemalloc.get_traced_memory()[1]
+        monkeypatch.setattr(sampling, "_completion_words", build_then_reset)
+        choose_partition(h, blocks, 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sets are built once, through one uint64 per completion
+    assert whole <= h._completions.nbytes + 64 * keys
+    # after that, a count block and its uint64 intersections: 9 bytes per element, with room for the side sets
+    assert peak - held[0] <= 16 * budget
+
+
 # -- co-degree concentration ----------------------------------------------------
 
 
